@@ -11,23 +11,44 @@ import math
 from fractions import Fraction
 
 __all__ = [
+    "det3",
     "extgcd",
-    "is_square",
     "nth_root_floor",
     "fraction_root_floor",
     "is_prime",
     "factorize",
     "prime_divisors",
     "divisor_count",
+    "trial_divide",
     "valuation",
+    "minors_gcd",
     "squarefree_part",
-    "primes_up_to",
     "sign",
 ]
 
 
 def sign(n) -> int:
     return (n > 0) - (n < 0)
+
+
+def det3(m) -> int:
+    """Determinant of a 3x3 integer matrix."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def minors_gcd(m) -> int:
+    """gcd of the nine 2x2 minors of a 3x3 integer matrix."""
+    g = 0
+    for i in range(3):
+        r0, r1 = [k for k in range(3) if k != i]
+        for j in range(3):
+            c0, c1 = [k for k in range(3) if k != j]
+            g = math.gcd(g, m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0])
+    return g
 
 
 def extgcd(x: int, y: int) -> tuple[int, int]:
@@ -43,13 +64,6 @@ def extgcd(x: int, y: int) -> tuple[int, int]:
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def nth_root_floor(n: int, k: int) -> int:
@@ -130,22 +144,35 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation of |n| as {p: exponent}; 0 and +-1 give {}."""
+def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """({p: exponent} over the primes p <= bound dividing n, cofactor).
+
+    n must be nonzero.  The cofactor has no prime factor <= bound, so a
+    cofactor up to bound^2 is prime; it is moved into the dict, leaving 1.
+    """
     n = abs(n)
     out: dict[int, int] = {}
-    if n < 2:
-        return out
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in (2, 3, 5, 7):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 17
-    while f * f <= n and f < 100000:
+    f = 11
+    while f <= bound and f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 2
+    if 1 < n <= bound * bound:
+        out[n] = out.get(n, 0) + 1
+        n = 1
+    return out, n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorisation of |n| as {p: exponent}; 0 and +-1 give {}."""
+    if abs(n) < 2:
+        return {}
+    out, n = trial_divide(n, 100000)
     if n > 1:
         stack = [n]
         while stack:
@@ -196,13 +223,3 @@ def squarefree_part(n: int) -> int:
             m *= p
     return m
 
-
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, b in enumerate(sieve) if b]

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import extgcd
+from .arith import det3, extgcd, minors_gcd
 from .polynomials import (
     MultiPoly,
     binary_to_univariate,
@@ -67,7 +67,14 @@ class ConicBundleSurface:
 
 @dataclass(frozen=True)
 class FibreClass:
-    """Exact local data of the fibre over a base point."""
+    """Exact local data of the fibre over a base point.
+
+    Computed once per fibre by fibre_class: the canonical base point, the
+    integer Gram matrix, its determinant disc, the gcd of its 2x2 minors
+    and whether the fibre is smooth (disc != 0).  The arithmetic that
+    only smooth fibres need (factorization of 2 disc, solubility) is
+    cached on the fibre's TernaryForm instead.
+    """
 
     y: ProjPoint
     gram: tuple[tuple[int, int, int], ...]
@@ -80,20 +87,8 @@ def discriminant(surface: ConicBundleSurface) -> MultiPoly:
     """det(f_ij) as an exact form of degree 2(a0+a1+a2) + 3e."""
     if surface._disc is not None:
         return surface._disc
-    g = surface.gram
-    deg = 2 * sum(surface.a) + 3 * surface.e
-    acc = MultiPoly.zero(surface.n + 1, deg)
-    for sgn, (i, j, k) in (
-        (1, (0, 1, 2)),
-        (1, (1, 2, 0)),
-        (1, (2, 0, 1)),
-        (-1, (0, 2, 1)),
-        (-1, (2, 1, 0)),
-        (-1, (1, 0, 2)),
-    ):
-        acc = acc + sgn * (g[0][i] * g[1][j] * g[2][k])
-    surface._disc = acc
-    return acc
+    surface._disc = det3(surface.gram)
+    return surface._disc
 
 
 def validate(surface: ConicBundleSurface) -> None:
@@ -146,22 +141,8 @@ def fibre_class(surface: ConicBundleSurface, y) -> FibreClass:
     if len(pt) != surface.n + 1:
         raise InvalidInputError("base point has wrong dimension")
     gram = surface.gram_at(pt.coords)
-    disc = (
-        gram[0][0] * (gram[1][1] * gram[2][2] - gram[1][2] * gram[2][1])
-        - gram[0][1] * (gram[1][0] * gram[2][2] - gram[1][2] * gram[2][0])
-        + gram[0][2] * (gram[1][0] * gram[2][1] - gram[1][1] * gram[2][0])
-    )
-    minors = []
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            minors.append(
-                gram[rows[0]][cols[0]] * gram[rows[1]][cols[1]]
-                - gram[rows[0]][cols[1]] * gram[rows[1]][cols[0]]
-            )
-    mg = math.gcd(*minors)
-    return FibreClass(y=pt, gram=gram, disc=disc, minors_gcd=mg, smooth=disc != 0)
+    disc = det3(gram)
+    return FibreClass(y=pt, gram=gram, disc=disc, minors_gcd=minors_gcd(gram), smooth=disc != 0)
 
 
 # -- importing a cubic surface with a rational line ---------------------

@@ -18,10 +18,10 @@ from itertools import islice
 
 from .arith import is_prime, prime_divisors, squarefree_part
 from .bundle import ConicBundleSurface, fibre_class
-from .conics import count_fibre
+from .conics import TernaryForm, _count_fibre, check_strategy
 from .errors import EngineError, InvalidInputError
-from .heights import HeightModel, base_bound, standard_height
-from .localdata import peyre_constant
+from .heights import HeightModel, base_bound, check_model, standard_height
+from .localdata import _peyre_constant, peyre_constant
 from .models import difference_of_squares_bundle, two_squares_bundle
 from .projective import enumerate_base
 
@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 
-def _check_model(surface: ConicBundleSurface, model: HeightModel) -> None:
-    if (model.n, model.a, model.e) != (surface.n, surface.a, surface.e):
-        raise InvalidInputError("height model does not match the surface")
-
-
 def surface_digest(surface: ConicBundleSurface) -> str:
     """Stable sha256 of the bundle data, for report provenance."""
     parts = [repr((surface.n, surface.a, surface.e))]
@@ -60,47 +55,34 @@ def surface_digest(surface: ConicBundleSurface) -> str:
 
 # Workers receive plain coordinate tuples and rebuild points themselves;
 # results come back in submission order, so every reduction below sees
-# the same value stream whether it ran on one process or many.
+# the same value stream whether it ran on one process or many.  The
+# callers have checked the model and the strategy, so each fibre is
+# resolved once here and handed to the per-fibre functions as it is.
 
 
-def _fibre_rows(surface, model, coords, bound, strategy):
+def _fibre_rows(task):
+    """(canonical y, per_fibre(record, form, model, *args)) for each base
+    point y of one chunk, with None in place of the value on singular fibres."""
+    per_fibre, surface, model, coords, args = task
     rows = []
     for y in coords:
         fc = fibre_class(surface, y)
-        if not fc.smooth:
-            rows.append((fc.y.coords, None))
-        else:
-            rows.append((fc.y.coords, count_fibre(surface, model, y, bound, strategy)))
+        value = per_fibre(fc, TernaryForm(fc.gram), model, *args) if fc.smooth else None
+        rows.append((fc.y, value))
     return rows
 
 
-def _peyre_rows(surface, model, coords, rel_tol):
-    rows = []
-    for y in coords:
-        fc = fibre_class(surface, y)
-        if not fc.smooth:
-            rows.append((fc.y.height(), None))
-        else:
-            rows.append((fc.y.height(), peyre_constant(surface, model, y, rel_tol)))
-    return rows
-
-
-def _star_apply(task):
-    fn, surface, model, chunk, args = task
-    return fn(surface, model, chunk, *args)
-
-
-def _mapped_rows(fn, surface, model, coords, args, workers):
+def _mapped_rows(per_fibre, surface, model, coords, args, workers):
     if workers < 1:
         raise InvalidInputError("worker count must be >= 1")
     if workers == 1 or len(coords) <= 1:
-        return fn(surface, model, coords, *args)
+        return _fibre_rows((per_fibre, surface, model, coords, args))
     size = max(1, -(-len(coords) // (4 * workers)))
     chunks = [coords[i : i + size] for i in range(0, len(coords), size)]
     rows = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        tasks = ((fn, surface, model, chunk, args) for chunk in chunks)
-        for part in pool.map(_star_apply, tasks):
+        tasks = ((per_fibre, surface, model, chunk, args) for chunk in chunks)
+        for part in pool.map(_fibre_rows, tasks):
             rows.extend(part)
     return rows
 
@@ -129,12 +111,13 @@ def count_total(
     Only base points with H(y)^(A + a2) <= B can carry points, so the
     loop stops at base_bound; fibres over the discriminant are skipped.
     """
-    _check_model(surface, model)
+    check_model(surface, model)
+    check_strategy(strategy)
     tb = base_bound(model, bound)
     coords = [y.coords for y in enumerate_base(surface.n, tb)]
-    rows = _mapped_rows(_fibre_rows, surface, model, coords, (bound, strategy), workers)
-    fibres = tuple((yc, c) for yc, c in rows if c is not None)
-    singular = tuple(yc for yc, c in rows if c is None)
+    rows = _mapped_rows(_count_fibre, surface, model, coords, (bound, strategy), workers)
+    fibres = tuple((y.coords, c) for y, c in rows if c is not None)
+    singular = tuple(y.coords for y, c in rows if c is None)
     return CountSlice(
         bound=bound,
         base_height=tb,
@@ -174,20 +157,20 @@ def peyre_sum(
     Insoluble fibres contribute an exact 0 without touching quadrature;
     fsum keeps the shell totals independent of enumeration order.
     """
-    _check_model(surface, model)
+    check_model(surface, model)
     if max_height < 1:
         raise InvalidInputError("partial-sum height must be >= 1")
     coords = [y.coords for y in enumerate_base(surface.n, max_height)]
-    rows = _mapped_rows(_peyre_rows, surface, model, coords, (rel_tol,), workers)
+    rows = _mapped_rows(_peyre_constant, surface, model, coords, (rel_tol,), workers)
     shells = [[] for _ in range(max_height)]
     n_smooth = n_soluble = 0
-    for h, c in rows:
+    for y, c in rows:
         if c is None:
             continue
         n_smooth += 1
         if c:
             n_soluble += 1
-            shells[h - 1].append(c)
+            shells[y.height() - 1].append(c)
     shell_sums = tuple(math.fsum(vals) for vals in shells)
     total = math.fsum(shell_sums)
     return PeyreSum(
@@ -231,7 +214,7 @@ def asymptotic_probe(
     The slope is fitted through the origin on the top half of the grid
     only; small B is dominated by the o(1) term and would bias it.
     """
-    _check_model(surface, model)
+    check_model(surface, model)
     if bounds is None:
         bounds = tuple(10_000 * 2**k for k in range(5))
     bounds = tuple(bounds)

@@ -8,8 +8,8 @@ exact quantities are serialized as integer or fraction strings, floats
 at 12 significant digits, and reports embed the config hash and engine
 version.  Identical config and subcommand give byte-identical files.
 
-Exit codes: 0 success, 2 invalid input, 3 tolerance not met, 4 internal
-engine failure.
+Exit codes: 0 success, 2 invalid input, 3 a computational budget ran
+out, 4 internal engine failure.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .bundle import ConicBundleSurface, discriminant, fibre_class, import_cubic_with_line, validate
+from .bundle import ConicBundleSurface, discriminant, import_cubic_with_line, validate
 from .census import asymptotic_probe, bt_probe, count_total, northcott_probe, peyre_sum, surface_digest
-from .conics import count_fibre
-from .errors import EngineError, InvalidInputError, ToleranceNotMet
+from .conics import STRATEGIES, _count_fibre, _smooth_fibre
+from .errors import BudgetExceeded, EngineError, InvalidInputError
 from .heights import HeightModel
-from .localdata import fibre_report, sigma_p
+from .localdata import _fibre_report, fibre_report, sigma_p
 from .models import two_squares_bundle
 from .polynomials import MultiPoly
 
@@ -46,8 +46,6 @@ SUBCOMMANDS = (
     "northcott-probe",
     "import-cubic",
 )
-
-_STRATEGIES = ("auto", "box", "parametrized", "both")
 
 # per-section parameter tables: name -> (required, default, checker)
 _SECTION_KEYS = {
@@ -142,8 +140,8 @@ def _check_value(section: str, key: str, kind: str, value):
             fail("a tolerance in (0, 1)")
         return float(value)
     if kind == "strategy":
-        if value not in _STRATEGIES:
-            fail(f"one of {_STRATEGIES}")
+        if value not in STRATEGIES:
+            fail(f"one of {STRATEGIES}")
         return value
     if kind == "intlist":
         if not isinstance(value, list) or not value or not all(
@@ -308,10 +306,10 @@ def _ystr(coords) -> str:
     return ":".join(str(c) for c in coords)
 
 
-def _need(cfg: RunConfig, what: str):
-    if what == "surface" and cfg.surface is None:
+def _need_model(cfg: RunConfig):
+    if cfg.surface is None:
         raise InvalidInputError("this subcommand needs a surface section")
-    if what == "model" and cfg.model is None:
+    if cfg.model is None:
         raise InvalidInputError("this subcommand needs a model section")
 
 
@@ -320,8 +318,7 @@ def _need(cfg: RunConfig, what: str):
 
 
 def _run_validate(cfg, threads):
-    _need(cfg, "surface")
-    _need(cfg, "model")
+    _need_model(cfg)
     surface, model = cfg.surface, cfg.model
     disc = discriminant(surface)
     payload = {
@@ -339,8 +336,7 @@ def _run_validate(cfg, threads):
 
 
 def _run_count(cfg, threads):
-    _need(cfg, "surface")
-    _need(cfg, "model")
+    _need_model(cfg)
     sec = cfg.section("count")
     cs = count_total(cfg.surface, cfg.model, sec["bound"], sec["strategy"], threads)
     payload = {
@@ -357,12 +353,11 @@ def _run_count(cfg, threads):
 
 
 def _run_fibre(cfg, threads):
-    _need(cfg, "surface")
-    _need(cfg, "model")
+    _need_model(cfg)
     sec = cfg.section("fibre")
-    fc = fibre_class(cfg.surface, sec["y"])
-    rep = fibre_report(cfg.surface, cfg.model, sec["y"], sec["tol"])
-    n = count_fibre(cfg.surface, cfg.model, sec["y"], sec["bound"], sec["strategy"])
+    fc, form = _smooth_fibre(cfg.surface, cfg.model, sec["y"])
+    rep = _fibre_report(fc, form, cfg.model, sec["tol"])
+    n = _count_fibre(fc, form, cfg.model, sec["bound"], sec["strategy"])
     payload = {
         "y": _ystr(rep.y),
         "bound": sec["bound"],
@@ -387,8 +382,7 @@ def _run_fibre(cfg, threads):
 
 
 def _run_density(cfg, threads):
-    _need(cfg, "surface")
-    _need(cfg, "model")
+    _need_model(cfg)
     sec = cfg.section("density")
     rep = fibre_report(cfg.surface, cfg.model, sec["y"], sec["tol"])
     locals_ = dict(rep.sigma_p)
@@ -414,8 +408,7 @@ def _run_density(cfg, threads):
 
 
 def _run_peyre_sum(cfg, threads):
-    _need(cfg, "surface")
-    _need(cfg, "model")
+    _need_model(cfg)
     sec = cfg.section("peyre-sum")
     ps = peyre_sum(cfg.surface, cfg.model, sec["max_height"], sec["tol"], threads)
     payload = {
@@ -428,7 +421,6 @@ def _run_peyre_sum(cfg, threads):
     }
     header = ["height", "shell", "partial"]
     rows = []
-    running = 0.0
     for t, shell in enumerate(ps.shells, start=1):
         running = ps.partial(t)
         rows.append([str(t), _g12(shell), _g12(running)])
@@ -437,8 +429,7 @@ def _run_peyre_sum(cfg, threads):
 
 
 def _run_probe(cfg, threads):
-    _need(cfg, "surface")
-    _need(cfg, "model")
+    _need_model(cfg)
     sec = cfg.section("probe")
     bounds = tuple(sec["bounds"]) if sec["bounds"] else None
     rep = asymptotic_probe(cfg.surface, cfg.model, bounds, sec["strategy"], sec["tol"], threads)
@@ -465,8 +456,7 @@ def _run_probe(cfg, threads):
 
 
 def _run_bt_probe(cfg, threads):
-    _need(cfg, "surface")
-    _need(cfg, "model")
+    _need_model(cfg)
     if cfg.surface != two_squares_bundle():
         raise InvalidInputError("bt-probe runs on the two-squares bundle; configure that surface")
     sec = cfg.section("bt-probe")
@@ -507,15 +497,15 @@ def _run_bt_probe(cfg, threads):
 def _run_northcott_probe(cfg, threads):
     sec = cfg.section("northcott-probe")
     rep = northcott_probe(sec["a"], sec["count"])
+    rows = [[_ystr(yc), str(h)] for yc, h in rep.rows]
     payload = {
         "a": rep.a,
         "alpha": str(rep.alpha),
         "exponent": rep.exponent,
         "unit_count": rep.unit_count,
-        "rows": [[_ystr(yc), str(h)] for yc, h in rep.rows],
+        "rows": rows,
     }
     header = ["y", "section_height"]
-    rows = [[_ystr(yc), str(h)] for yc, h in rep.rows]
     line = (
         f"a={rep.a}: section height H(y)^{rep.exponent}, "
         f"{rep.unit_count} of {len(rep.rows)} points at height 1"
@@ -644,7 +634,7 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         _emit_error(out_dir, args.subcommand, digest, exc, 2)
         return 2
-    except ToleranceNotMet as exc:
+    except BudgetExceeded as exc:
         _emit_error(out_dir, args.subcommand, digest, exc, 3)
         return 3
     except EngineError as exc:

@@ -23,16 +23,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import (
+    det3,
     divisor_count,
     extgcd,
     factorize,
     is_prime,
+    minors_gcd,
     prime_divisors,
     squarefree_part,
+    trial_divide,
 )
-from .bundle import fibre_class
-from .errors import EngineError, InvalidInputError
-from .heights import HeightModel, fibre_box
+from .bundle import FibreClass, fibre_class
+from .errors import BudgetExceeded, EngineError, InvalidInputError
+from .heights import HeightModel, check_model, fibre_box
 from .projective import canonicalize
 
 try:
@@ -45,13 +48,21 @@ INF = math.inf
 # int64 safety margin for the vectorised scans
 _I64 = 1 << 62
 
-_STRATEGIES = ("auto", "box", "parametrized", "both")
+STRATEGIES = ("auto", "box", "parametrized", "both")
 
 
 class TernaryForm:
-    """Integer symmetric 3x3 Gram matrix with nonzero determinant."""
+    """Integer symmetric 3x3 Gram matrix with nonzero determinant.
 
-    __slots__ = ("matrix", "_det", "_minors_gcd", "_reduced")
+    A form stands for one fibre's conic and caches what belongs to it:
+    det (on construction), the gcd of the 2x2 minors, the prime divisors
+    of 2 det, the places where the conic is locally insoluble and the
+    reduced diagonal model.  The solubility test, the point search and
+    the Euler product of the local densities share these values, so the
+    factorization of 2 det and the solubility verdict are computed once.
+    """
+
+    __slots__ = ("matrix", "_det", "_minors_gcd", "_bad_primes", "_insoluble", "_reduced")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in matrix)
@@ -62,10 +73,12 @@ class TernaryForm:
                 if rows[i][j] != rows[j][i]:
                     raise InvalidInputError("Gram matrix must be symmetric")
         self.matrix = rows
-        self._det = _det3(rows)
+        self._det = det3(rows)
         if self._det == 0:
             raise InvalidInputError("degenerate conic: det = 0")
         self._minors_gcd = None
+        self._bad_primes = None
+        self._insoluble = None
         self._reduced = None
 
     @property
@@ -76,16 +89,17 @@ class TernaryForm:
     def minors_gcd(self) -> int:
         """gcd of the nine 2x2 minors (the codim-2 discriminant scale)."""
         if self._minors_gcd is None:
-            m = self.matrix
-            g = 0
-            for i in range(3):
-                for j in range(3):
-                    r = [k for k in range(3) if k != i]
-                    c = [k for k in range(3) if k != j]
-                    minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-                    g = math.gcd(g, minor)
-            self._minors_gcd = g
+            self._minors_gcd = minors_gcd(self.matrix)
         return self._minors_gcd
+
+    @property
+    def bad_primes(self) -> tuple[int, ...]:
+        """Primes dividing 2 det, ascending: the only places besides inf
+        where the conic can fail locally or sigma_p can differ from the
+        generic 1 - p^-2."""
+        if self._bad_primes is None:
+            self._bad_primes = tuple(prime_divisors(2 * self._det))
+        return self._bad_primes
 
     def evaluate(self, x: Sequence[int]) -> int:
         m = self.matrix
@@ -112,18 +126,24 @@ class TernaryForm:
         return f"TernaryForm({self.matrix})"
 
 
-def _det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def _as_form(form) -> TernaryForm:
     if isinstance(form, TernaryForm):
         return form
     return TernaryForm(form)
+
+
+def _smooth_fibre(surface, model: HeightModel | None, y) -> tuple[FibreClass, TernaryForm]:
+    """The record and the form of the fibre over y, which must be smooth.
+
+    The public per-fibre functions resolve y here once; the model check
+    (skipped for model=None) runs before any solubility gate.
+    """
+    fc = fibre_class(surface, y)
+    if not fc.smooth:
+        raise InvalidInputError(f"fibre over {fc.y} is singular")
+    if model is not None:
+        check_model(surface, model)
+    return fc, TernaryForm(fc.gram)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +323,10 @@ def insoluble_places(form) -> tuple:
     divides the determinant.
     """
     form = _as_form(form)
-    bad = []
-    if not local_solubility(form, INF):
-        bad.append(INF)
-    for p in prime_divisors(2 * form.det):
-        if not local_solubility(form, p):
-            bad.append(p)
-    return tuple(bad)
+    if form._insoluble is None:
+        bad = [p for p in (INF, *form.bad_primes) if not local_solubility(form, p)]
+        form._insoluble = tuple(bad)
+    return form._insoluble
 
 
 def is_soluble(form) -> bool:
@@ -332,8 +349,7 @@ def find_point(form):
     form = _as_form(form)
     if not is_soluble(form):
         return None
-    (m0, m1, m2), back = form.reduced()
-    m = [m0, m1, m2]
+    m, back = form.reduced()
     bounds = [
         math.isqrt(abs(m[1] * m[2])),
         math.isqrt(abs(m[0] * m[2])),
@@ -342,7 +358,7 @@ def find_point(form):
     k = max(range(3), key=lambda i: bounds[i])
     i, j = [t for t in range(3) if t != k]
     if (bounds[i] + 1) * (bounds[j] + 1) > _SEARCH_CAP:
-        raise InvalidInputError("conic coefficients too large for the point search")
+        raise BudgetExceeded("conic coefficients too large for the point search")
     for u in range(bounds[i] + 1):
         base = m[i] * u * u
         for v in range(bounds[j] + 1):
@@ -421,26 +437,6 @@ def _binary_quadratic_resultant(f, g) -> int:
     a1, b1, c1 = f
     a2, b2, c2 = g
     return (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
-
-
-def _split_small(n: int, bound: int = 10000):
-    """Factor out primes <= bound; return ({p: e}, cofactor)."""
-    n = abs(n)
-    small: dict[int, int] = {}
-    for p in (2, 3, 5, 7):
-        while n % p == 0:
-            small[p] = small.get(p, 0) + 1
-            n //= p
-    f = 11
-    while f <= bound and f * f <= n:
-        while n % f == 0:
-            small[f] = small.get(f, 0) + 1
-            n //= f
-        f += 2
-    if 1 < n <= bound * bound:
-        small[n] = small.get(n, 0) + 1
-        n = 1
-    return small, n
 
 
 def _achievable_content_exponent(phi, p: int, cap: int, budget: int = 20000) -> int:
@@ -604,7 +600,7 @@ def _content_bound(phi) -> int:
     if g0 == 0:
         raise EngineError("content bound collapsed to zero")
 
-    small, cofactor = _split_small(g0)
+    small, cofactor = trial_divide(g0, 10000)
     bound = cofactor
     for p, e in small.items():
         if p <= 257:
@@ -728,14 +724,12 @@ def _param_disk_radius(phi, caps) -> int:
             return math.isqrt(int(1 / low)) + 1
         n *= 4
         if n > 4_000_000:
-            raise EngineError("could not certify a parameter disk radius")
+            raise BudgetExceeded("could not certify a parameter disk radius")
 
 
-def _param_scan_python(phi, caps, box, radius):
-    b0, b1, b2 = box
-    count = 0
-    rmax = 0
-    (a0, c0, d0), (a1, c1, d1), (a2, c2, d2) = phi
+def _param_rows(phi, caps, radius):
+    """(u, v intervals) for each u in [0, radius] whose row of the disk
+    meets every strip |phi_j(u, v)| <= caps_j."""
     for u in range(radius + 1):
         uu = u * u
         ivs = [(-radius, radius)]
@@ -743,6 +737,17 @@ def _param_scan_python(phi, caps, box, radius):
             ivs = _intersect_intervals(ivs, _quad_abs_le(C, B * u, A * uu, K, -radius, radius))
             if not ivs:
                 break
+        if ivs:
+            yield u, ivs
+
+
+def _param_scan_python(phi, caps, box, radius):
+    b0, b1, b2 = box
+    count = 0
+    rmax = 0
+    (a0, c0, d0), (a1, c1, d1), (a2, c2, d2) = phi
+    for u, ivs in _param_rows(phi, caps, radius):
+        uu = u * u
         for lo, hi in ivs:
             for v in range(lo, hi + 1):
                 if u == 0:
@@ -769,15 +774,8 @@ def _param_scan_numpy(phi, caps, box, radius):
     b0, b1, b2 = box
     count = 0
     rmax = 0
-    for u in range(radius + 1):
+    for u, ivs in _param_rows(phi, caps, radius):
         uu = u * u
-        ivs = [(-radius, radius)]
-        for (A, B, C), K in zip(phi, caps):
-            ivs = _intersect_intervals(ivs, _quad_abs_le(C, B * u, A * uu, K, -radius, radius))
-            if not ivs:
-                break
-        if not ivs:
-            continue
         v = _np.concatenate([_np.arange(lo, hi + 1, dtype=_np.int64) for lo, hi in ivs])
         if u == 0:
             v = v[v == 1]
@@ -839,42 +837,48 @@ def _gram_abc(m, x1, x2):
     return B, C
 
 
-def _count_box_python(m, b0, b1, b2, x2_start) -> int:
+def _count_rows(m, b0, x1s, x2) -> int:
+    """Primitive points (x0, x1, x2) of the conic with |x0| <= b0, for
+    each x1 in x1s: the integer roots x0 of one quadratic per row."""
     count = 0
     A = m[0][0]
     twoA = 2 * A
-    for x2 in range(x2_start, b2 + 1):
-        for x1 in range(-b1, b1 + 1):
-            B, C = _gram_abc(m, x1, x2)
-            if A == 0:
-                if B == 0:
-                    if C == 0:
-                        raise EngineError("degenerate pencil line inside the conic")
-                    continue
-                q, r = divmod(-C, B)
-                if r == 0 and abs(q) <= b0 and math.gcd(q, x1, x2) == 1:
-                    count += 1
+    for x1 in x1s:
+        B, C = _gram_abc(m, x1, x2)
+        if A == 0:
+            if B == 0:
+                if C == 0:
+                    raise EngineError("degenerate pencil line inside the conic")
                 continue
-            d = B * B - 4 * A * C
-            if d < 0:
-                continue
-            s = math.isqrt(d)
-            if s * s != d:
-                continue
-            for num in ((-B + s), (-B - s)) if s else ((-B),):
-                q, r = divmod(num, twoA)
-                if r == 0 and abs(q) <= b0 and math.gcd(q, x1, x2) == 1:
-                    count += 1
+            q, r = divmod(-C, B)
+            if r == 0 and abs(q) <= b0 and math.gcd(q, x1, x2) == 1:
+                count += 1
+            continue
+        d = B * B - 4 * A * C
+        if d < 0:
+            continue
+        s = math.isqrt(d)
+        if s * s != d:
+            continue
+        for num in ((-B + s), (-B - s)) if s else ((-B),):
+            q, r = divmod(num, twoA)
+            if r == 0 and abs(q) <= b0 and math.gcd(q, x1, x2) == 1:
+                count += 1
     return count
 
 
-def _count_box_numpy(m, b0, b1, b2, x2_start) -> int:
+def _count_box_python(m, b0, b1, b2) -> int:
+    """Reference box scan, one big-int row per (x1, x2) with x2 >= 1."""
+    return sum(_count_rows(m, b0, range(-b1, b1 + 1), x2) for x2 in range(1, b2 + 1))
+
+
+def _count_box_numpy(m, b0, b1, b2) -> int:
     count = 0
     A = m[0][0]
     twoA = 2 * A
     x1 = _np.arange(-b1, b1 + 1, dtype=_np.int64)
     ax1 = _np.abs(x1)
-    for x2 in range(x2_start, b2 + 1):
+    for x2 in range(1, b2 + 1):
         B = 2 * (m[0][1] * x1 + m[0][2] * x2)
         C = m[1][1] * x1 * x1 + (2 * m[1][2] * x2) * x1 + m[2][2] * x2 * x2
         if A == 0:
@@ -926,8 +930,8 @@ def _count_box(form: TernaryForm, box) -> int:
         return 0
     m = form.matrix
     if _box_numpy_safe(m, b0, b1, b2):
-        return _count_box_numpy(m, b0, b1, b2, 1)
-    return _count_box_python(m, b0, b1, b2, 1)
+        return _count_box_numpy(m, b0, b1, b2)
+    return _count_box_python(m, b0, b1, b2)
 
 
 def count_box_points(form, bounds, include_plane_at_infinity: bool = False) -> int:
@@ -940,32 +944,14 @@ def count_box_points(form, bounds, include_plane_at_infinity: bool = False) -> i
     b0, b1, b2 = (int(b) for b in bounds)
     if min(b0, b1, b2) < 0:
         raise InvalidInputError("box bounds must be nonnegative")
-    m = form.matrix
-    count = _count_box_python(m, b0, b1, b2, 1) if b2 >= 1 else 0
+    count = _count_box(form, (b0, b1, b2))
     if not include_plane_at_infinity:
         return count
-    # slice x2 = 0: a00 x0^2 + 2 a01 x0 x1 + a11 x1^2 = 0
+    # slice x2 = 0: the point (1 : 0 : 0), then one row per x1 >= 1
+    m = form.matrix
     if m[0][0] == 0 and b0 >= 1:
-        count += 1  # the point (1 : 0 : 0)
-    for x1 in range(1, b1 + 1):
-        A, B, C = m[0][0], 2 * m[0][1] * x1, m[1][1] * x1 * x1
-        if A == 0:
-            if B != 0:
-                q, r = divmod(-C, B)
-                if r == 0 and 0 < abs(q) <= b0 and math.gcd(q, x1) == 1:
-                    count += 1
-            continue
-        d = B * B - 4 * A * C
-        if d < 0:
-            continue
-        s = math.isqrt(d)
-        if s * s != d:
-            continue
-        for num in ((-B + s), (-B - s)) if s else ((-B),):
-            q, r = divmod(num, 2 * A)
-            if r == 0 and abs(q) <= b0 and math.gcd(q, x1) == 1:
-                count += 1
-    return count
+        count += 1
+    return count + _count_rows(m, b0, range(1, b1 + 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -990,18 +976,20 @@ def count_fibre(surface, model: HeightModel, y, bound, strategy: str = "auto") -
     The height condition is exactly the box |x_j| <= b_j from the
     model, so both strategies count the same set.
     """
-    if strategy not in _STRATEGIES:
+    check_strategy(strategy)
+    fc, form = _smooth_fibre(surface, model, y)
+    return _count_fibre(fc, form, model, bound, strategy)
+
+
+def check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown strategy {strategy!r}")
-    fc = fibre_class(surface, y)
-    if not fc.smooth:
-        raise InvalidInputError(f"fibre over {fc.y} is singular")
-    if (model.n, model.a, model.e) != (surface.n, surface.a, surface.e):
-        raise InvalidInputError("height model does not match the surface")
+
+
+def _count_fibre(fc: FibreClass, form: TernaryForm, model: HeightModel, bound, strategy: str) -> int:
+    """count_fibre on a resolved smooth fibre, with a checked strategy."""
     box = fibre_box(model, fc.y, bound)
-    if box[2] < 1:
-        return 0
-    form = TernaryForm(fc.gram)
-    if not is_soluble(form):
+    if box[2] < 1 or not is_soluble(form):
         return 0
     if strategy == "both":
         a = _count_box(form, box)

@@ -57,6 +57,12 @@ class HeightModel:
         return f"HeightModel(n={self.n}, a={self.a}, e={self.e}, alpha={self.alpha})"
 
 
+def check_model(surface, model: HeightModel) -> None:
+    """Raise unless the height model was built for the surface's bundle data."""
+    if (model.n, model.a, model.e) != (surface.n, surface.a, surface.e):
+        raise InvalidInputError("height model does not match the surface")
+
+
 class ExactHeight:
     """Value H(y)^A * m held as (integer base, rational exponent, rational factor).
 

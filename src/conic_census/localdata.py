@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .arith import is_prime, prime_divisors, valuation
-from .bundle import fibre_class
-from .conics import TernaryForm, is_soluble
-from .errors import EngineError, InvalidInputError
+from .arith import det3, is_prime, valuation
+from .bundle import FibreClass
+from .conics import TernaryForm, _as_form, _smooth_fibre, is_soluble
+from .errors import BudgetExceeded, EngineError, InvalidInputError
 from .heights import HeightModel
 from .projective import height as base_height
 from .quadrature import integrate
@@ -45,20 +45,6 @@ def _q_val(m, x) -> int:
         + m[2][2] * x2 * x2
         + 2 * (m[0][1] * x0 * x1 + m[0][2] * x0 * x2 + m[1][2] * x1 * x2)
     )
-
-
-def _det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _as_gram(form):
-    if isinstance(form, TernaryForm):
-        return form.matrix
-    return TernaryForm(form).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +191,7 @@ def _evolve_counts(m, p, upto):
         mod_next = p ** (k + 1)
         surv = [x for x in keep if _q_val(m, x) % mod_next == 0]
         if len(surv) * p3 > _LIFT_CAP:
-            raise EngineError("p-adic lift tree exceeded its budget")
+            raise BudgetExceeded("p-adic lift tree exceeded its budget")
         step = p**k
         crit = [
             (x0 + step * d0, x1 + step * d1, x2 + step * d2)
@@ -223,7 +209,7 @@ def count_points_mod(form, p: int, n: int) -> int:
         raise InvalidInputError(f"{p} is not prime")
     if n < 1:
         raise InvalidInputError("level must be at least 1")
-    m = _as_gram(form)
+    m = _as_form(form).matrix
     if all(v % p == 0 for row in m for v in row):
         # Q = p Q': a primitive solution mod p^n is any lift of one mod p^(n-1)
         if n == 1:
@@ -237,7 +223,7 @@ def _sigma_p_gram(m, p) -> Fraction:
     if all(v % p == 0 for row in m for v in row):
         inner = [[v // p for v in row] for row in m]
         return p * _sigma_p_gram(inner, p)
-    v = valuation(abs(_det3(m)), p)
+    v = valuation(abs(det3(m)), p)
     first = 2 * v + 2
     for n in range(first, first + 9):
         counts = _evolve_counts(m, p, n + 2)
@@ -252,9 +238,7 @@ def sigma_p(surface, y, p: int) -> Fraction:
     """p-adic density of the fibre over y, an exact rational."""
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
-    fc = fibre_class(surface, y)
-    if not fc.smooth:
-        raise InvalidInputError(f"fibre over {fc.y} is singular")
+    fc, _ = _smooth_fibre(surface, None, y)
     return _sigma_p_gram(fc.gram, p)
 
 
@@ -278,7 +262,7 @@ def sigma_inf_weights(form, weights, rel_tol: float = 1e-8) -> float:
     Jacobian); the tails are mapped to [0, 1/X] by u = 1/x0.  Returns 0
     for an empty real locus.
     """
-    m = _as_gram(form)
+    m = _as_form(form).matrix
     w0, w1, w2 = (float(w) for w in weights)
     if min(w0, w1, w2) <= 0:
         raise InvalidInputError("height weights must be positive")
@@ -307,27 +291,19 @@ def sigma_inf_weights(form, weights, rel_tol: float = 1e-8) -> float:
             # A1 is the nonzero constant 2 m12
             x = 1.0 + 2.0 * (abs(m02) + abs(m22) + 1.0) / (abs(m00) + 1.0)
             lim = 1.0 / (w1 * abs(m00)) if m00 else 1.0 / (2.0 * w0 * abs(m12))
-
-            def f_tail(u):
-                if u == 0.0:
-                    return lim
-                return f_line(1.0 / u) / (u * u)
-
             total = integrate(f_line, -x, x, tol)
-            total += integrate(f_tail, 0.0, 1.0 / x, tol)
-            total += integrate(f_tail, -1.0 / x, 0.0, tol)
-            return total
-        pole = -m12 / m01
-        x = 1.0 + 2.0 * abs(pole) + (abs(m00) + abs(m02) + abs(m22) + 1.0) / abs(m01)
-        slope = abs(m00 / (2.0 * m01))
-        lim = 1.0 / (max(w0, w1 * slope) * 2.0 * abs(m01))
+        else:
+            pole = -m12 / m01
+            x = 1.0 + 2.0 * abs(pole) + (abs(m00) + abs(m02) + abs(m22) + 1.0) / abs(m01)
+            slope = abs(m00 / (2.0 * m01))
+            lim = 1.0 / (max(w0, w1 * slope) * 2.0 * abs(m01))
+            total = integrate(f_line, -x, pole, tol) + integrate(f_line, pole, x, tol)
 
         def f_tail(u):
             if u == 0.0:
                 return lim
             return f_line(1.0 / u) / (u * u)
 
-        total = integrate(f_line, -x, pole, tol) + integrate(f_line, pole, x, tol)
         total += integrate(f_tail, 0.0, 1.0 / x, tol)
         total += integrate(f_tail, -1.0 / x, 0.0, tol)
         return total
@@ -448,20 +424,27 @@ def _archimedean_weights(model: HeightModel, y) -> tuple[float, float, float]:
 
 def sigma_inf(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> float:
     """Archimedean density of the fibre over y for the model height."""
-    fc = fibre_class(surface, y)
-    if not fc.smooth:
-        raise InvalidInputError(f"fibre over {fc.y} is singular")
-    if (model.n, model.a, model.e) != (surface.n, surface.a, surface.e):
-        raise InvalidInputError("height model does not match the surface")
-    return sigma_inf_weights(fc.gram, _archimedean_weights(model, fc.y), rel_tol)
+    fc, form = _smooth_fibre(surface, model, y)
+    return sigma_inf_weights(form, _archimedean_weights(model, fc.y), rel_tol)
 
 
 # ---------------------------------------------------------------------------
 # Tamagawa number and the Peyre constant
 
 
-def _bad_primes(det: int) -> list[int]:
-    return sorted(prime_divisors(2 * det))
+def _local_product(fc: FibreClass, form: TernaryForm, model: HeightModel, rel_tol: float):
+    """(sigma_inf, {p: sigma_p for p | 2 disc}, tau) of one smooth fibre.
+
+    tau = sigma_inf * (6/pi^2) * prod_p sigma_p p^2/(p^2 - 1), the
+    rational product taken in ascending prime order and converted to a
+    float once, so every caller gets the same bits.
+    """
+    s_inf = sigma_inf_weights(form, _archimedean_weights(model, fc.y), rel_tol)
+    locals_ = {p: _sigma_p_gram(form.matrix, p) for p in form.bad_primes}
+    ratio = Fraction(1)
+    for p, s in locals_.items():
+        ratio *= s * Fraction(p * p, p * p - 1)
+    return s_inf, locals_, s_inf * (6.0 / math.pi**2) * float(ratio)
 
 
 def tamagawa(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> float:
@@ -471,26 +454,20 @@ def tamagawa(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> float:
     value prod_p (1 - p^-2) = 6/pi^2, so quadrature is the only error
     source; the bad Euler factors are exact rationals.
     """
-    fc = fibre_class(surface, y)
-    if not fc.smooth:
-        raise InvalidInputError(f"fibre over {fc.y} is singular")
-    if (model.n, model.a, model.e) != (surface.n, surface.a, surface.e):
-        raise InvalidInputError("height model does not match the surface")
-    s_inf = sigma_inf_weights(fc.gram, _archimedean_weights(model, fc.y), rel_tol)
-    ratio = Fraction(1)
-    for p in _bad_primes(fc.disc):
-        ratio *= _sigma_p_gram(fc.gram, p) * Fraction(p * p, p * p - 1)
-    return s_inf * (6.0 / math.pi**2) * float(ratio)
+    fc, form = _smooth_fibre(surface, model, y)
+    return _local_product(fc, form, model, rel_tol)[2]
+
+
+def _peyre_constant(fc: FibreClass, form: TernaryForm, model: HeightModel, rel_tol: float) -> float:
+    if not is_soluble(form):
+        return 0.0
+    return _local_product(fc, form, model, rel_tol)[2]
 
 
 def peyre_constant(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> float:
     """Predicted leading constant of the fibre count: tau, or 0 if insoluble."""
-    fc = fibre_class(surface, y)
-    if not fc.smooth:
-        raise InvalidInputError(f"fibre over {fc.y} is singular")
-    if not is_soluble(TernaryForm(fc.gram)):
-        return 0.0
-    return tamagawa(surface, model, y, rel_tol)
+    fc, form = _smooth_fibre(surface, model, y)
+    return _peyre_constant(fc, form, model, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -506,19 +483,9 @@ class FibreReport:
     peyre: float = 0.0
 
 
-def fibre_report(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> FibreReport:
-    fc = fibre_class(surface, y)
-    if not fc.smooth:
-        raise InvalidInputError(f"fibre over {fc.y} is singular")
-    if (model.n, model.a, model.e) != (surface.n, surface.a, surface.e):
-        raise InvalidInputError("height model does not match the surface")
-    soluble = is_soluble(TernaryForm(fc.gram))
-    s_inf = sigma_inf_weights(fc.gram, _archimedean_weights(model, fc.y), rel_tol)
-    locals_ = {p: _sigma_p_gram(fc.gram, p) for p in _bad_primes(fc.disc)}
-    ratio = Fraction(1)
-    for p, s in locals_.items():
-        ratio *= s * Fraction(p * p, p * p - 1)
-    tau = s_inf * (6.0 / math.pi**2) * float(ratio)
+def _fibre_report(fc: FibreClass, form: TernaryForm, model: HeightModel, rel_tol: float) -> FibreReport:
+    soluble = is_soluble(form)
+    s_inf, locals_, tau = _local_product(fc, form, model, rel_tol)
     return FibreReport(
         y=fc.y.coords,
         soluble=soluble,
@@ -528,3 +495,8 @@ def fibre_report(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> Fibre
         tamagawa=tau,
         peyre=tau if soluble else 0.0,
     )
+
+
+def fibre_report(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> FibreReport:
+    fc, form = _smooth_fibre(surface, model, y)
+    return _fibre_report(fc, form, model, rel_tol)

@@ -13,9 +13,11 @@ from conic_census.census import (
     peyre_sum,
     surface_digest,
 )
+from conic_census.conics import count_fibre
 from conic_census.errors import InvalidInputError
 from conic_census.heights import HeightModel
-from conic_census.models import difference_of_squares_bundle, two_squares_bundle
+from conic_census.localdata import fibre_report, peyre_constant, sigma_inf, tamagawa
+from conic_census.models import difference_of_squares_bundle, mixed_bundle, two_squares_bundle
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +212,33 @@ def test_surface_digest_stable_and_discriminating():
     assert surface_digest(s1) == surface_digest(s2)
     assert surface_digest(s1) != surface_digest(difference_of_squares_bundle(12))
     assert len(surface_digest(s1)) == 64
+
+
+# ---------------------------------------------------------------------------
+# the one model check
+
+
+def _h(y):
+    return max(abs(c) for c in y)
+
+
+MODEL_CALLS = {
+    "count_fibre": lambda s, m, y: count_fibre(s, m, y, 1000),
+    "sigma_inf": lambda s, m, y: sigma_inf(s, m, y),
+    "tamagawa": lambda s, m, y: tamagawa(s, m, y),
+    "peyre_constant": lambda s, m, y: peyre_constant(s, m, y),
+    "fibre_report": lambda s, m, y: fibre_report(s, m, y),
+    "count_total": lambda s, m, y: count_total(s, m, 10 * _h(y) ** 3),
+    "peyre_sum": lambda s, m, y: peyre_sum(s, m, _h(y)),
+    "asymptotic_probe": lambda s, m, y: asymptotic_probe(s, m, (_h(y) ** 3, 10 * _h(y) ** 3)),
+}
+
+
+@pytest.mark.parametrize("y", [(1, 5), (1, 3)], ids=["soluble", "insoluble"])
+@pytest.mark.parametrize("name", sorted(MODEL_CALLS))
+def test_model_built_for_another_surface_is_rejected(setup, name, y):
+    surface, model = setup
+    assert (peyre_constant(surface, model, y) > 0) == (y == (1, 5))
+    foreign = HeightModel.for_surface(mixed_bundle(), 2)
+    with pytest.raises(InvalidInputError, match="does not match"):
+        MODEL_CALLS[name](surface, foreign, y)

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from conic_census.cli import emit_config, main, parse_config
+from conic_census.cli import _surface_doc, emit_config, main, parse_config
 from conic_census.census import count_total
 from conic_census.errors import InvalidInputError
 from conic_census.heights import HeightModel
-from conic_census.models import two_squares_bundle
+from conic_census.models import mixed_bundle, two_squares_bundle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -184,3 +184,17 @@ def test_unknown_subcommand_rejected_by_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])
     assert exc.value.code == 2
+
+
+def test_exhausted_budget_exits_3(tmp_path):
+    # the lift tree for sigma_43 on this fibre outgrows its budget
+    document = {
+        "surface": _surface_doc(mixed_bundle()),
+        "model": {"alpha": "2"},
+        "density": {"y": [14, 9], "p": 43},
+    }
+    cfgpath = write_config(tmp_path, document)
+    assert main(["density", "--config", cfgpath, "--out", str(tmp_path)]) == 3
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["exit_code"] == 3
+    assert record["error"] == "BudgetExceeded"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conic_census import (
+    BudgetExceeded,
     EngineError,
     HeightModel,
     InvalidInputError,
@@ -22,7 +23,14 @@ from conic_census import (
     local_solubility,
     parametrize,
 )
-from conic_census.conics import _count_box, _count_parametrized, _quad_abs_le
+from conic_census.conics import (
+    _box_numpy_safe,
+    _count_box,
+    _count_box_numpy,
+    _count_box_python,
+    _count_parametrized,
+    _quad_abs_le,
+)
 from conic_census.models import two_squares_bundle
 
 INF = math.inf
@@ -50,6 +58,38 @@ def brute_box_count(form, bounds):
                 v = (x0, x1, x2)
                 if form.evaluate(v) == 0 and math.gcd(x0, x1, x2) == 1:
                     total += 1
+    return total
+
+
+def random_nondiagonal_forms(seed, count, size=9):
+    """Seeded nondegenerate forms with a nonzero cross term.  Every third
+    has m00 = m11 = 0, so that the plane x2 = 0 meets the conic in both
+    (1 : 0 : 0) and (0 : 1 : 0)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c, d, e, f = (rng.randint(-size, size) for _ in range(6))
+        if len(out) % 3 == 0:
+            a = b = 0
+        if d == e == f == 0:
+            continue
+        try:
+            out.append(TernaryForm([[a, d, e], [d, b, f], [e, f, c]]))
+        except InvalidInputError:
+            continue
+    return out
+
+
+def brute_slice_count(form, bounds):
+    """Oracle: projective points (x0 : x1 : 0) of the conic with
+    |x0| <= b0 and |x1| <= b1, one canonical representative each."""
+    b0, b1, _ = bounds
+    total = 0
+    for x0 in range(-b0, b0 + 1):
+        for x1 in range(-b1, b1 + 1):
+            canonical = x0 > 0 or (x0 == 0 and x1 > 0)
+            if canonical and math.gcd(x0, x1) == 1 and form.evaluate((x0, x1, 0)) == 0:
+                total += 1
     return total
 
 
@@ -376,6 +416,45 @@ def test_count_box_points_frozen_values():
     par = TernaryForm([[0, 0, -1], [0, 2, 0], [-1, 0, 0]])
     with_plane = count_box_points(par, (10, 10, 10), include_plane_at_infinity=True)
     assert with_plane == count_box_points(par, (10, 10, 10)) + 1
+
+
+def test_plane_slice_of_hyperbolic_form_has_two_points():
+    # 2 x0 x1 = x2^2 meets x2 = 0 in (1 : 0 : 0) and (0 : 1 : 0)
+    hyp = TernaryForm([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    affine = count_box_points(hyp, (5, 5, 5))
+    assert affine == brute_box_count(hyp, (5, 5, 5))
+    assert count_box_points(hyp, (5, 5, 5), include_plane_at_infinity=True) == affine + 2
+
+
+def test_count_box_points_matches_brute_on_nondiagonal_forms():
+    rng = random.Random(43)
+    for form in random_nondiagonal_forms(43, 30):
+        bounds = tuple(rng.randint(2, 12) for _ in range(3))
+        affine = count_box_points(form, bounds)
+        assert affine == brute_box_count(form, bounds)
+        with_plane = count_box_points(form, bounds, include_plane_at_infinity=True)
+        assert with_plane == affine + brute_slice_count(form, bounds)
+
+
+def test_numpy_box_kernel_matches_python_reference():
+    # count_box_points and count_fibre pick the numpy kernel whenever it
+    # is int64-safe, so the big-int reference is checked here directly
+    rng = random.Random(47)
+    for form in random_nondiagonal_forms(47, 30):
+        b0, b1, b2 = (rng.randint(5, 60) for _ in range(3))
+        m = form.matrix
+        assert _box_numpy_safe(m, b0, b1, b2)
+        assert _count_box_numpy(m, b0, b1, b2) == _count_box_python(m, b0, b1, b2)
+
+
+def test_point_search_cap_is_a_budget_error():
+    # (1 : 2 : 1) lies on this conic, but the Holzer sweep of its reduced
+    # model has about 1.4e10 cells
+    form = diag(100003, 100019, -500079)
+    assert is_soluble(form)
+    with pytest.raises(BudgetExceeded) as info:
+        find_point(form)
+    assert not isinstance(info.value, (EngineError, InvalidInputError))
 
 
 def test_strategies_agree_on_soluble_diagonal_forms():

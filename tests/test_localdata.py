@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conic_census.conics import TernaryForm, count_fibre
-from conic_census.errors import InvalidInputError
+from conic_census.bundle import fibre_class
+from conic_census.conics import TernaryForm, count_fibre, is_soluble
+from conic_census.errors import BudgetExceeded, EngineError, InvalidInputError, ToleranceNotMet
 from conic_census.heights import HeightModel
 from conic_census.localdata import (
     FibreReport,
@@ -19,6 +20,7 @@ from conic_census.localdata import (
     tamagawa,
 )
 from conic_census.models import difference_of_squares_bundle, mixed_bundle, two_squares_bundle
+from conic_census.projective import enumerate_base
 
 
 def diag(a, b, c):
@@ -363,3 +365,41 @@ def test_empirical_peyre_consistency():
     assert n >= 10**4
     c = peyre_constant(s, m, (1, 1), 1e-9)
     assert abs(n / bound - c) / c <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# one local product per fibre, budgets
+
+
+def sample_fibres(surface, seed, k, max_height=12):
+    """k seeded soluble and k seeded insoluble smooth fibres."""
+    groups = ([], [])
+    for y in enumerate_base(surface.n, max_height):
+        fc = fibre_class(surface, y)
+        if fc.smooth:
+            groups[is_soluble(TernaryForm(fc.gram))].append(y.coords)
+    rng = random.Random(seed)
+    return [y for group in groups for y in rng.sample(group, k)]
+
+
+@pytest.mark.parametrize("make, alpha", [(two_squares_bundle, 1), (mixed_bundle, 2)])
+def test_report_shares_the_local_product(make, alpha):
+    surface = make()
+    model = HeightModel.for_surface(surface, alpha)
+    for y in sample_fibres(surface, 53, 3):
+        rep = fibre_report(surface, model, y)
+        assert rep.tamagawa == tamagawa(surface, model, y)
+        assert rep.peyre == peyre_constant(surface, model, y)
+        assert rep.sigma_p
+        for p, value in rep.sigma_p.items():
+            assert value == sigma_p(surface, y, p)
+
+
+def test_lift_tree_budget_is_not_an_engine_error():
+    with pytest.raises(BudgetExceeded) as info:
+        sigma_p(mixed_bundle(), (14, 9), 43)
+    assert not isinstance(info.value, EngineError)
+
+
+def test_quadrature_tolerance_is_a_budget_error():
+    assert issubclass(ToleranceNotMet, BudgetExceeded)
