@@ -2,9 +2,9 @@
 
 The fibre over y = (1, t) of the two-squares bundle is the conic
 x0^2 + x1^2 = t x2^2.  This walkthrough computes its p-adic densities
-sigma_p (exact rationals), the archimedean density sigma_inf (adaptive
-quadrature), assembles the Tamagawa-style constant, and then watches
-the exact point count N(C, H, B)/B walk toward it.
+sigma_p (exact rationals), the archimedean density sigma_inf (a closed
+form, exact up to rounding), assembles the Tamagawa-style constant, and
+then watches the exact point count N(C, H, B)/B walk toward it.
 
 Run:  python3 demos/fibre_densities.py
 """

@@ -4,7 +4,8 @@ count_total sums exact fibre counts over the base points the height
 bound can reach; peyre_sum accumulates the predicted per-fibre constants
 shell by shell; the two probe campaigns measure the failure of both
 inequalities of the expected linear-growth sandwich, and the Northcott
-probe exhibits a section whose height tends to zero.
+probe exhibits a section whose height tends to zero.  The rel_tol
+parameters are ignored, as in localdata.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .bundle import ConicBundleSurface, fibre_class
 from .conics import TernaryForm, _count_fibre, check_strategy
 from .errors import EngineError, InvalidInputError
 from .heights import HeightModel, base_bound, check_model, standard_height
-from .localdata import _peyre_constant, peyre_constant
+from .localdata import SIGMA_INF_REL_ERR, _peyre_constant, peyre_constant
 from .models import difference_of_squares_bundle, two_squares_bundle
 from .projective import enumerate_base
 
@@ -139,7 +140,7 @@ class PeyreSum:
     max_height: int
     total: float
     shells: tuple  # shells[h-1] = contribution of the height-h shell
-    error_bound: float  # aggregated quadrature tolerance, all terms positive
+    error_bound: float  # SIGMA_INF_REL_ERR * total: sigma_inf's rounding, all terms positive
     n_smooth: int
     n_soluble: int
 
@@ -154,14 +155,14 @@ def peyre_sum(
 ) -> PeyreSum:
     """Sum the predicted constants c_y over base height <= max_height.
 
-    Insoluble fibres contribute an exact 0 without touching quadrature;
+    Insoluble fibres contribute an exact 0 without computing sigma_inf;
     fsum keeps the shell totals independent of enumeration order.
     """
     check_model(surface, model)
     if max_height < 1:
         raise InvalidInputError("partial-sum height must be >= 1")
     coords = [y.coords for y in enumerate_base(surface.n, max_height)]
-    rows = _mapped_rows(_peyre_constant, surface, model, coords, (rel_tol,), workers)
+    rows = _mapped_rows(_peyre_constant, surface, model, coords, (), workers)
     shells = [[] for _ in range(max_height)]
     n_smooth = n_soluble = 0
     for y, c in rows:
@@ -177,7 +178,7 @@ def peyre_sum(
         max_height=max_height,
         total=total,
         shells=shell_sums,
-        error_bound=rel_tol * total,
+        error_bound=SIGMA_INF_REL_ERR * total,
         n_smooth=n_smooth,
         n_soluble=n_soluble,
     )
@@ -222,7 +223,7 @@ def asymptotic_probe(
         raise InvalidInputError("bound grid must be increasing with >= 2 entries")
     slices = tuple(count_total(surface, model, b, strategy, workers) for b in bounds)
     ratios = tuple(s.total / float(b) for s, b in zip(slices, bounds))
-    ps = peyre_sum(surface, model, max(1, slices[-1].base_height), rel_tol, workers)
+    ps = peyre_sum(surface, model, max(1, slices[-1].base_height), workers=workers)
     partials = tuple((s.base_height, ps.partial(s.base_height)) for s in slices)
     top = slices[len(slices) // 2 :]
     num = math.fsum(float(s.total) * float(s.bound) for s in top)
@@ -233,7 +234,6 @@ def asymptotic_probe(
         "surface": surface_digest(surface),
         "alpha": str(model.alpha),
         "strategy": strategy,
-        "rel_tol": rel_tol,
     }
     return CensusReport(
         bounds=bounds,
@@ -302,7 +302,7 @@ def bt_probe(alpha, t_max: int, rel_tol: float = 1e-8, growth_terms: int = 6) ->
         if squarefree_part(t) != t:
             continue
         primes = prime_divisors(t)
-        tau = peyre_constant(surface, model, (1, t), rel_tol)
+        tau = peyre_constant(surface, model, (1, t))
         normalized = tau * float(t) ** exp / math.pi
         admissible = all(p % 4 == 1 for p in primes)
         formula = None
@@ -326,7 +326,7 @@ def bt_probe(alpha, t_max: int, rel_tol: float = 1e-8, growth_terms: int = 6) ->
     growth = []
     zeta2inv = 6.0 / math.pi**2
     for k, tk in enumerate(_growth_products(growth_terms), start=1):
-        tau = peyre_constant(surface, model, (1, tk), rel_tol)
+        tau = peyre_constant(surface, model, (1, tk))
         growth.append((k, tk, tau * float(tk) ** exp / math.pi, zeta2inv * (4.0 / 3.0) ** k))
     monotone = all(b[2] > a[2] for a, b in zip(growth, growth[1:])) and all(
         g[2] >= g[3] for g in growth

@@ -57,26 +57,21 @@ _SECTION_KEYS = {
         "y": (True, None, "intlist"),
         "bound": (True, None, "posint"),
         "strategy": (False, "auto", "strategy"),
-        "tol": (False, 1e-8, "tol"),
     },
     "density": {
         "y": (True, None, "intlist"),
         "p": (False, None, "posint"),
-        "tol": (False, 1e-8, "tol"),
     },
     "peyre-sum": {
         "max_height": (True, None, "posint"),
-        "tol": (False, 1e-8, "tol"),
     },
     "probe": {
         "bounds": (False, None, "intlist"),
         "strategy": (False, "auto", "strategy"),
-        "tol": (False, 1e-8, "tol"),
     },
     "bt-probe": {
         "t_max": (True, None, "posint"),
         "growth_terms": (False, 6, "posint"),
-        "tol": (False, 1e-8, "tol"),
     },
     "northcott-probe": {
         "a": (True, None, "posint"),
@@ -135,10 +130,6 @@ def _check_value(section: str, key: str, kind: str, value):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             fail("a positive integer")
         return value
-    if kind == "tol":
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < 1:
-            fail("a tolerance in (0, 1)")
-        return float(value)
     if kind == "strategy":
         if value not in STRATEGIES:
             fail(f"one of {STRATEGIES}")
@@ -356,7 +347,7 @@ def _run_fibre(cfg, threads):
     _need_model(cfg)
     sec = cfg.section("fibre")
     fc, form = _smooth_fibre(cfg.surface, cfg.model, sec["y"])
-    rep = _fibre_report(fc, form, cfg.model, sec["tol"])
+    rep = _fibre_report(fc, form, cfg.model)
     n = _count_fibre(fc, form, cfg.model, sec["bound"], sec["strategy"])
     payload = {
         "y": _ystr(rep.y),
@@ -370,7 +361,6 @@ def _run_fibre(cfg, threads):
         "sigma_p": [[p, str(v)] for p, v in sorted(rep.sigma_p.items())],
         "tamagawa": rep.tamagawa,
         "peyre": rep.peyre,
-        "quad_tol": rep.quad_tol,
     }
     header = ["y", "count", "soluble", "sigma_inf", "tamagawa", "peyre"]
     rows = [[
@@ -384,7 +374,7 @@ def _run_fibre(cfg, threads):
 def _run_density(cfg, threads):
     _need_model(cfg)
     sec = cfg.section("density")
-    rep = fibre_report(cfg.surface, cfg.model, sec["y"], sec["tol"])
+    rep = fibre_report(cfg.surface, cfg.model, sec["y"])
     locals_ = dict(rep.sigma_p)
     if sec["p"] is not None and sec["p"] not in locals_:
         locals_[sec["p"]] = sigma_p(cfg.surface, sec["y"], sec["p"])
@@ -394,7 +384,6 @@ def _run_density(cfg, threads):
         "sigma_p": [[p, str(v)] for p, v in sorted(locals_.items())],
         "sigma_inf": rep.sigma_inf,
         "tamagawa": rep.tamagawa,
-        "quad_tol": rep.quad_tol,
     }
     header = ["y", "place", "value"]
     rows = [[_ystr(rep.y), str(p), str(v)] for p, v in sorted(locals_.items())]
@@ -410,7 +399,7 @@ def _run_density(cfg, threads):
 def _run_peyre_sum(cfg, threads):
     _need_model(cfg)
     sec = cfg.section("peyre-sum")
-    ps = peyre_sum(cfg.surface, cfg.model, sec["max_height"], sec["tol"], threads)
+    ps = peyre_sum(cfg.surface, cfg.model, sec["max_height"], workers=threads)
     payload = {
         "max_height": ps.max_height,
         "total": ps.total,
@@ -432,7 +421,7 @@ def _run_probe(cfg, threads):
     _need_model(cfg)
     sec = cfg.section("probe")
     bounds = tuple(sec["bounds"]) if sec["bounds"] else None
-    rep = asymptotic_probe(cfg.surface, cfg.model, bounds, sec["strategy"], sec["tol"], threads)
+    rep = asymptotic_probe(cfg.surface, cfg.model, bounds, sec["strategy"], workers=threads)
     payload = {
         "bounds": list(rep.bounds),
         "totals": [s.total for s in rep.slices],
@@ -460,7 +449,7 @@ def _run_bt_probe(cfg, threads):
     if cfg.surface != two_squares_bundle():
         raise InvalidInputError("bt-probe runs on the two-squares bundle; configure that surface")
     sec = cfg.section("bt-probe")
-    rep = bt_probe(cfg.model.alpha, sec["t_max"], sec["tol"], sec["growth_terms"])
+    rep = bt_probe(cfg.model.alpha, sec["t_max"], growth_terms=sec["growth_terms"])
     payload = {
         "alpha": str(rep.alpha),
         "t_max": rep.t_max,

@@ -3,14 +3,19 @@
 The p-adic density of a fibre conic is the limit N(p^n)/p^(2n), where
 N(p^n) counts solutions x mod p^n with x not identically 0 mod p.  The
 archimedean density integrates the line density along the real conic in
-the chart x2 = 1 against the fibre height.  The Tamagawa number closes
-the good-prime tail with the exact Euler product 6/pi^2.
+the chart x2 = 1 against the fibre height; a rational parametrization
+turns it into a finite sum of elementary integrals.  The Tamagawa number
+closes the good-prime tail with the exact Euler product 6/pi^2.
+
+The public functions keep a rel_tol parameter for the callers that pass
+it; sigma_inf is exact up to rounding, so it is ignored, and
+fibre_report only echoes it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +25,6 @@ from .conics import TernaryForm, _as_form, _smooth_fibre, is_soluble
 from .errors import BudgetExceeded, EngineError, InvalidInputError
 from .heights import HeightModel
 from .projective import height as base_height
-from .quadrature import integrate
 
 __all__ = [
     "FibreReport",
@@ -244,177 +248,148 @@ def sigma_p(surface, y, p: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # archimedean side
+#
+# Through a real point P of the conic, the line with direction
+# d(t) = t e_a + e_b meets the conic again at phi(t) = Q(d) P - 2 (P.M d) d;
+# e_a, e_b are the unit vectors other than e_k, where |P_k| is the largest
+# coordinate of P, so d(t) never points at P.  Then
+# phi x phi' = 2 det[P, e_a, e_b] M phi = +-2 P_k M phi, and in the chart
+# x2 = 1 the density dx0 / (H |dQ/dx1|) becomes |P_k| dt / max_j w_j |phi_j|.
+# Between consecutive real roots of the six quadratics w_i phi_i +- w_j phi_j
+# one |w_j phi_j| is the largest and phi_j keeps its sign, so sigma_inf is
+# a finite sum of integrals of reciprocal quadratics.
+
+# Relative accuracy of sigma_inf_weights, as certified against 40-digit
+# quadrature in tests/test_localdata.py (for weight ratios up to 2000).
+SIGMA_INF_REL_ERR = 1e-12
 
 
-def _height_factory(w0, w1, w2):
-    def hgt(x0, x1):
-        return max(w0 * abs(x0), w1 * abs(x1), w2)
+def _real_point(m, det):
+    """A real zero of Q as three floats, or None when Q is definite.
 
-    return hgt
+    The zero lies on an integer line: a coordinate plane (e_i, e_j) with
+    D = m_ij^2 - m_ii m_jj >= 0, or else, when every principal 2x2 minor
+    is positive (Sylvester: Q is then definite iff m_00 det > 0), the
+    line (e_0, adj(M) e_0), on which D = det (det - m_00 minor_00) > 0.
+    So sqrt(D) is the one inexact step, taken with the sign that does
+    not cancel.
+    """
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        qa, qb, qc = m[i][i], m[i][j], m[j][j]
+        if qb * qb >= qa * qc:
+            v = [int(c == j) for c in range(3)]
+            break
+    else:
+        if m[0][0] * det > 0:
+            return None
+        i = 0
+        v = [
+            m[1][1] * m[2][2] - m[1][2] * m[1][2],
+            m[0][2] * m[1][2] - m[0][1] * m[2][2],
+            m[0][1] * m[1][2] - m[0][2] * m[1][1],
+        ]
+        qa, qb, qc = m[0][0], det, det * v[0]
+    # Q(s e_i + r v) = qa s^2 + 2 qb s r + qc r^2 vanishes at
+    # (s, r) = (-qb -+ sqrt(D), qa)
+    if qa == 0:
+        return tuple(float(c == i) for c in range(3))
+    p = [qa * c for c in v]
+    p[i] -= qb
+    p[i] += math.copysign(math.sqrt(qb * qb - qa * qc), p[i])
+    return tuple(float(c) for c in p)
+
+
+def _real_roots(a, b, c):
+    """Real roots of a t^2 + b t + c, by the cancellation-free formula."""
+    if a == 0:
+        return (-c / b,) if b else ()
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return ()
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (q / a, c / q) if q else (0.0,)
+
+
+def _reciprocal_integral(a, b, c, u, v):
+    """|Integral over [u, v] of dt / (a t^2 + b t + c)|, for u < v.
+
+    The interval may be unbounded but holds no root.  Each case works
+    from the factored form: an atan2 of the endpoint offsets from the
+    centre of complex roots, and for real roots r1 < r2 the log of
+    R = (v - r2)(u - r1) / ((v - r1)(u - r2)), as log1p(R - 1) when
+    |R - 1| < 1/2.
+    """
+    roots = _real_roots(a, b, c)
+    if not roots:
+        if a == 0:
+            return (v - u) / abs(c)
+        h = -b / (2.0 * a)
+        q = math.sqrt(4.0 * a * c - b * b) / (2.0 * abs(a))
+        if u == -math.inf:
+            theta = math.pi if v == math.inf else math.atan2(q, h - v)
+        elif v == math.inf:
+            theta = math.atan2(q, u - h)
+        else:
+            theta = math.atan2((v - u) * q, q * q + (u - h) * (v - h))
+        return theta / (abs(a) * q)
+    # r2 = inf stands for the missing root of a linear denominator
+    r1, r2 = (min(roots), max(roots)) if a else (roots[0], math.inf)
+    if r1 == r2:
+        return abs(1.0 / (u - r1) - 1.0 / (v - r1)) / abs(a)
+    # R - 1 = (v - u)(r2 - r1) / ((v - r1)(u - r2)); each endpoint's
+    # factor tends to 1 as the endpoint runs off
+    if r2 == math.inf:
+        x, ratio = (v - u) / (u - r1), (v - r1) / (u - r1)
+    elif u == -math.inf:
+        x, ratio = (r1 - r2) / (v - r1), (v - r2) / (v - r1)
+    elif v == math.inf:
+        x, ratio = (r2 - r1) / (u - r2), (u - r1) / (u - r2)
+    else:
+        x = (v - u) * (r2 - r1) / ((v - r1) * (u - r2))
+        ratio = (v - r2) * (u - r1) / ((v - r1) * (u - r2))
+    scale = abs(a) * (r2 - r1) if a else abs(b)
+    return abs(math.log1p(x) if abs(x) < 0.5 else math.log(ratio)) / scale
 
 
 def sigma_inf_weights(form, weights, rel_tol: float = 1e-8) -> float:
     """Real density of the conic against the height max_j(w_j |x_j|).
 
-    Integrates dx0 / (H(x) |dQ/dx1|) over both branches of the real
-    locus in the chart x2 = 1.  Square-root branch points are removed by
-    x0 = r +- v^2 (the vanishing factor cancels exactly against the
-    Jacobian); the tails are mapped to [0, 1/X] by u = 1/x0.  Returns 0
-    for an empty real locus.
+    The integral of dx0 / (H(x) |dQ/dx1|) over the real locus in the
+    chart x2 = 1, summed in closed form over the pieces described above;
+    0 for an empty real locus.
     """
-    m = _as_form(form).matrix
-    w0, w1, w2 = (float(w) for w in weights)
-    if min(w0, w1, w2) <= 0:
-        raise InvalidInputError("height weights must be positive")
-    hgt = _height_factory(w0, w1, w2)
-    m00, m01, m02 = m[0][0], m[0][1], m[0][2]
-    m11, m12, m22 = m[1][1], m[1][2], m[2][2]
-    tol = rel_tol
-
-    def a1(x0):
-        return 2.0 * (m01 * x0 + m12)
-
-    def a0(x0):
-        return (m00 * x0 + 2.0 * m02) * x0 + m22
-
-    if m11 == 0:
-        # single sheet x1 = -A0/A1; the pole of x1 is a regular point of
-        # the integrand because H grows exactly as fast as 1/|A1|
-        def f_line(x0):
-            num = a1(x0)
-            if num == 0.0:
-                return 1.0 / (w1 * abs(a0(x0)))
-            x1 = -a0(x0) / num
-            return 1.0 / (hgt(x0, x1) * abs(num))
-
-        if m01 == 0:
-            # A1 is the nonzero constant 2 m12
-            x = 1.0 + 2.0 * (abs(m02) + abs(m22) + 1.0) / (abs(m00) + 1.0)
-            lim = 1.0 / (w1 * abs(m00)) if m00 else 1.0 / (2.0 * w0 * abs(m12))
-            total = integrate(f_line, -x, x, tol)
-        else:
-            pole = -m12 / m01
-            x = 1.0 + 2.0 * abs(pole) + (abs(m00) + abs(m02) + abs(m22) + 1.0) / abs(m01)
-            slope = abs(m00 / (2.0 * m01))
-            lim = 1.0 / (max(w0, w1 * slope) * 2.0 * abs(m01))
-            total = integrate(f_line, -x, pole, tol) + integrate(f_line, pole, x, tol)
-
-        def f_tail(u):
-            if u == 0.0:
-                return lim
-            return f_line(1.0 / u) / (u * u)
-
-        total += integrate(f_tail, 0.0, 1.0 / x, tol)
-        total += integrate(f_tail, -1.0 / x, 0.0, tol)
-        return total
-
-    # two sheets x1 = (-A1 +- 2 sqrt(d)) / (2 m11) over d(x0) >= 0
-    c2 = m01 * m01 - m11 * m00
-    c1 = 2 * (m01 * m12 - m11 * m02)
-    c0 = m12 * m12 - m11 * m22
-    disc = c1 * c1 - 4 * c2 * c0  # equals -4 m11 det != 0 when c2 != 0
-
-    def branch_val(x0, sqrtd, sign):
-        x1 = (-a1(x0) + 2.0 * sign * sqrtd) / (2.0 * m11)
-        return 1.0 / (hgt(x0, x1) * 2.0 * sqrtd)
-
-    def d_of(x0):
-        return (c2 * x0 + c1) * x0 + c0
-
-    def plain(lo, hi):
-        s = 0.0
-        for sign in (1.0, -1.0):
-            s += integrate(lambda x0: branch_val(x0, math.sqrt(d_of(x0)), sign), lo, hi, tol)
-        return s
-
-    def tail(xstart, side):
-        # u = 1/x0 from the side where |x0| >= xstart > 0
-        s = 0.0
-        for sign in (1.0, -1.0):
-            slope = abs((-m01 + sign * side * math.sqrt(c2)) / m11)
-            lim = 1.0 / (max(w0, w1 * slope) * 2.0 * math.sqrt(c2))
-
-            def g(u, sign=sign, lim=lim):
-                if u == 0.0:
-                    return lim
-                x0 = 1.0 / u
-                sq = math.sqrt(d_of(x0))
-                x1 = (-a1(x0) + 2.0 * sign * sq) / (2.0 * m11)
-                return 1.0 / ((u * u) * hgt(x0, x1) * 2.0 * sq)
-
-            if side > 0:
-                s += integrate(g, 0.0, 1.0 / xstart, tol)
-            else:
-                s += integrate(g, -1.0 / xstart, 0.0, tol)
-        return s
-
-    def vroot_piece(r, orient, dfac_fn, vmax):
-        # x0 = r + orient v^2; sqrt(d) = v sqrt(dfac(v)) cancels the root
-        s = 0.0
-        for sign in (1.0, -1.0):
-
-            def g(v, sign=sign):
-                x0 = r + orient * v * v
-                df = dfac_fn(v)
-                if df <= 0.0:
-                    return 0.0
-                x1 = (-a1(x0) + 2.0 * sign * v * math.sqrt(df)) / (2.0 * m11)
-                return 1.0 / (hgt(x0, x1) * math.sqrt(df))
-
-            s += integrate(g, 0.0, vmax, tol)
-        return s
-
-    if c2 == 0:
-        # c1 = 0 would force det = 0, so the domain is a half line
-        r = -c0 / c1
-        orient = 1.0 if c1 > 0 else -1.0
-        w = 1.0 + abs(r)
-        total = vroot_piece(r, orient, lambda v: float(abs(c1)), math.sqrt(w))
-        # tail via x0 = r + orient/u^2: d = |c1| / u^2 exactly; both
-        # sign branches share the slope, so the u = 0 limit carries a 2
-        slope = abs(m01 / m11)
-        lim = 2.0 / (max(w0, w1 * slope) * math.sqrt(abs(c1)))
-
-        def g_far(u):
-            if u == 0.0:
-                return lim
-            x0 = r + orient / (u * u)
-            sq = math.sqrt(abs(c1)) / u
-            s = 0.0
-            for sign in (1.0, -1.0):
-                x1 = (-a1(x0) + 2.0 * sign * sq) / (2.0 * m11)
-                s += (2.0 / (u**3)) / (hgt(x0, x1) * 2.0 * sq)
-            return s
-
-        total += integrate(g_far, 0.0, 1.0 / math.sqrt(w), tol)
-        return total
-
-    if disc <= 0:
-        if c2 < 0:
-            return 0.0  # d < 0 everywhere: empty real locus off x2 = 0
-        # d > 0 on all of R: a core window plus two tails
-        x = 1.0 + (2.0 * abs(c1) + math.sqrt(float(abs(disc)) + 4.0 * c2 * abs(c0))) / c2
-        return plain(-x, x) + tail(x, +1) + tail(x, -1)
-
-    sq = math.sqrt(float(disc))
-    roots = sorted(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
-    r1, r2 = roots
-    gap = r2 - r1
-    if c2 < 0:
-        # bounded band [r1, r2], met from each end up to the midpoint
-        vmax = math.sqrt(gap / 2.0)
-        total = vroot_piece(r1, 1.0, lambda v: -c2 * (gap - v * v), vmax)
-        total += vroot_piece(r2, -1.0, lambda v: -c2 * (gap - v * v), vmax)
-        return total
-    # c2 > 0: two unbounded sides (-inf, r1] and [r2, inf)
-    w = 1.0 + 0.5 * (abs(r1) + abs(r2))
-    xfar = max(r2 + w, 1.0 + 2.0 * (abs(r1) + abs(r2)))
-    total = vroot_piece(r2, 1.0, lambda v: c2 * (v * v + gap), math.sqrt(w))
-    total += plain(r2 + w, xfar) + tail(xfar, +1)
-    xfar_l = min(r1 - w, -(1.0 + 2.0 * (abs(r1) + abs(r2))))
-    total += vroot_piece(r1, -1.0, lambda v: c2 * (v * v + gap), math.sqrt(w))
-    total += plain(xfar_l, r1 - w) + tail(abs(xfar_l), -1)
-    return total
+    f = _as_form(form)
+    w = tuple(float(v) for v in weights)
+    if not all(0.0 < v < math.inf for v in w):
+        raise InvalidInputError("height weights must be positive and finite")
+    m = f.matrix
+    p = _real_point(m, f.det)
+    if p is None:
+        return 0.0
+    k = max(range(3), key=lambda i: abs(p[i]))
+    a, b = (i for i in range(3) if i != k)
+    ga, gb = (sum(m[i][c] * p[c] for c in range(3)) for i in (a, b))
+    # phi_j = Q(d) p_j - 2 (ga t + gb) d_j, coefficients of t^2, t, 1
+    shift = {a: (ga, gb, 0.0), b: (0.0, ga, gb), k: (0.0, 0.0, 0.0)}
+    qd = (m[a][a], 2 * m[a][b], m[b][b])
+    phi = [[q * p[j] - 2.0 * s for q, s in zip(qd, shift[j])] for j in range(3)]
+    wphi = [[w[j] * c for c in phi[j]] for j in range(3)]
+    cuts = sorted({
+        t
+        for i, j in ((0, 1), (0, 2), (1, 2))
+        for s in (1.0, -1.0)
+        for t in _real_roots(*(x + s * y for x, y in zip(wphi[i], wphi[j])))
+    })
+    # one point inside each piece, where the largest |w_j phi_j| is read off
+    probes = [0.5 * (u + v) for u, v in zip(cuts, cuts[1:])]
+    if cuts:
+        probes = [cuts[0] - 1.0 - abs(cuts[0]), *probes, cuts[-1] + 1.0 + abs(cuts[-1])]
+    edges = [-math.inf, *cuts, math.inf]
+    total = 0.0
+    for u, v, t in zip(edges, edges[1:], probes or [0.0]):
+        j = max(range(3), key=lambda i: abs((wphi[i][0] * t + wphi[i][1]) * t + wphi[i][2]))
+        total += _reciprocal_integral(*phi[j], u, v) / w[j]
+    return abs(p[k]) * total
 
 
 def _archimedean_weights(model: HeightModel, y) -> tuple[float, float, float]:
@@ -425,21 +400,21 @@ def _archimedean_weights(model: HeightModel, y) -> tuple[float, float, float]:
 def sigma_inf(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> float:
     """Archimedean density of the fibre over y for the model height."""
     fc, form = _smooth_fibre(surface, model, y)
-    return sigma_inf_weights(form, _archimedean_weights(model, fc.y), rel_tol)
+    return sigma_inf_weights(form, _archimedean_weights(model, fc.y))
 
 
 # ---------------------------------------------------------------------------
 # Tamagawa number and the Peyre constant
 
 
-def _local_product(fc: FibreClass, form: TernaryForm, model: HeightModel, rel_tol: float):
+def _local_product(fc: FibreClass, form: TernaryForm, model: HeightModel):
     """(sigma_inf, {p: sigma_p for p | 2 disc}, tau) of one smooth fibre.
 
     tau = sigma_inf * (6/pi^2) * prod_p sigma_p p^2/(p^2 - 1), the
     rational product taken in ascending prime order and converted to a
     float once, so every caller gets the same bits.
     """
-    s_inf = sigma_inf_weights(form, _archimedean_weights(model, fc.y), rel_tol)
+    s_inf = sigma_inf_weights(form, _archimedean_weights(model, fc.y))
     locals_ = {p: _sigma_p_gram(form.matrix, p) for p in form.bad_primes}
     ratio = Fraction(1)
     for p, s in locals_.items():
@@ -451,46 +426,50 @@ def tamagawa(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> float:
     """sigma_inf * (6/pi^2) * prod over p | 2 disc of sigma_p/(1 - p^-2).
 
     The infinite product over good primes is folded into the closed
-    value prod_p (1 - p^-2) = 6/pi^2, so quadrature is the only error
-    source; the bad Euler factors are exact rationals.
+    value prod_p (1 - p^-2) = 6/pi^2 and the bad Euler factors are exact
+    rationals, so the closed-form sigma_inf carries the only rounding
+    error.
     """
     fc, form = _smooth_fibre(surface, model, y)
-    return _local_product(fc, form, model, rel_tol)[2]
+    return _local_product(fc, form, model)[2]
 
 
-def _peyre_constant(fc: FibreClass, form: TernaryForm, model: HeightModel, rel_tol: float) -> float:
+def _peyre_constant(fc: FibreClass, form: TernaryForm, model: HeightModel) -> float:
     if not is_soluble(form):
         return 0.0
-    return _local_product(fc, form, model, rel_tol)[2]
+    return _local_product(fc, form, model)[2]
 
 
 def peyre_constant(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> float:
     """Predicted leading constant of the fibre count: tau, or 0 if insoluble."""
     fc, form = _smooth_fibre(surface, model, y)
-    return _peyre_constant(fc, form, model, rel_tol)
+    return _peyre_constant(fc, form, model)
 
 
 @dataclass(frozen=True)
 class FibreReport:
-    """Everything local the engine knows about one smooth fibre."""
+    """Everything local the engine knows about one smooth fibre.
+
+    quad_tol echoes the rel_tol handed to fibre_report; sigma_inf is in
+    closed form and does not depend on it.
+    """
 
     y: tuple
     soluble: bool
     sigma_inf: float
-    quad_tol: float
+    quad_tol: float = 1e-8
     sigma_p: dict = field(default_factory=dict)  # bad primes only
     tamagawa: float = 0.0
     peyre: float = 0.0
 
 
-def _fibre_report(fc: FibreClass, form: TernaryForm, model: HeightModel, rel_tol: float) -> FibreReport:
+def _fibre_report(fc: FibreClass, form: TernaryForm, model: HeightModel) -> FibreReport:
     soluble = is_soluble(form)
-    s_inf, locals_, tau = _local_product(fc, form, model, rel_tol)
+    s_inf, locals_, tau = _local_product(fc, form, model)
     return FibreReport(
         y=fc.y.coords,
         soluble=soluble,
         sigma_inf=s_inf,
-        quad_tol=rel_tol,
         sigma_p=locals_,
         tamagawa=tau,
         peyre=tau if soluble else 0.0,
@@ -499,4 +478,4 @@ def _fibre_report(fc: FibreClass, form: TernaryForm, model: HeightModel, rel_tol
 
 def fibre_report(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> FibreReport:
     fc, form = _smooth_fibre(surface, model, y)
-    return _fibre_report(fc, form, model, rel_tol)
+    return replace(_fibre_report(fc, form, model), quad_tol=rel_tol)
