@@ -1,8 +1,9 @@
 """Exact arithmetic of ternary conics over Q.
 
 A fibre of the bundle is a smooth plane conic x^T M x = 0 with integer
-Gram matrix M.  This module decides solubility (Hilbert symbols on a
-reduced diagonal model), finds a rational point inside the Holzer bounds,
+Gram matrix M.  This module decides solubility (Hilbert symbols on an
+integer diagonal congruence of M, at inf and at each p | 2 det), finds a
+rational point inside the Holzer bounds of the reduced diagonal model,
 builds a proper parametrization P^1 -> C, and counts points in height
 boxes by two independent strategies that are cross checked in the tests:
 
@@ -56,13 +57,14 @@ class TernaryForm:
 
     A form stands for one fibre's conic and caches what belongs to it:
     det (on construction), the gcd of the 2x2 minors, the prime divisors
-    of 2 det, the places where the conic is locally insoluble and the
-    reduced diagonal model.  The solubility test, the point search and
-    the Euler product of the local densities share these values, so the
-    factorization of 2 det and the solubility verdict are computed once.
+    of 2 det, the integer diagonal congruence, the places where the
+    conic is locally insoluble and the reduced diagonal model.  The
+    solubility test reads the diagonal, the point search reduces it, and
+    the Euler product of the local densities shares the factorization of
+    2 det and the solubility verdict, so each is computed once.
     """
 
-    __slots__ = ("matrix", "_det", "_minors_gcd", "_bad_primes", "_insoluble", "_reduced")
+    __slots__ = ("matrix", "_det", "_minors_gcd", "_bad_primes", "_diagonal", "_insoluble", "_reduced")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in matrix)
@@ -78,6 +80,7 @@ class TernaryForm:
             raise InvalidInputError("degenerate conic: det = 0")
         self._minors_gcd = None
         self._bad_primes = None
+        self._diagonal = None
         self._insoluble = None
         self._reduced = None
 
@@ -108,12 +111,42 @@ class TernaryForm:
     def reduced(self) -> tuple[tuple[int, int, int], tuple]:
         """Diagonal model (m0, m1, m2) squarefree and pairwise coprime.
 
-        Returns (m, back) where back is a rational 3x3 matrix sending
+        Returns (m, back) where back is an integer 3x3 matrix sending
         solutions of  m0 w0^2 + m1 w1^2 + m2 w2^2 = 0  to solutions of
-        the original form.
+        the original form: back^T M back = lam * diag(m) with an integer
+        lam > 0, which is checked exactly.
         """
         if self._reduced is None:
-            self._reduced = _legendre_reduce(self.matrix)
+            t, d = _congruence(self)
+            # d_i = m_i k_i^2 with m_i squarefree; column i over k_i carries
+            # m_i, and the common multiple L of the k_i keeps back integral
+            coeffs = [squarefree_part(x) for x in d]
+            ks = [math.isqrt(x // c) for x, c in zip(d, coeffs)]
+            L = math.lcm(*ks)
+            back = [[t[r][i] * (L // ks[i]) for i in range(3)] for r in range(3)]
+            g = math.gcd(*coeffs)
+            coeffs = [c // g for c in coeffs]
+            lam = L * L * g
+            # pairwise coprime: if p | m_i, m_j then w_k = p w_k' divides p out
+            while True:
+                i = next((i for i in range(3) if math.gcd(coeffs[i], coeffs[(i + 1) % 3]) > 1), None)
+                if i is None:
+                    break
+                j, k = (i + 1) % 3, (i + 2) % 3
+                p = min(factorize(math.gcd(coeffs[i], coeffs[j])))
+                coeffs[i] //= p
+                coeffs[j] //= p
+                coeffs[k] *= p
+                for row in back:
+                    row[k] *= p
+                lam *= p
+            m = self.matrix
+            for i in range(3):
+                for j in range(3):
+                    acc = sum(back[r][i] * m[r][s] * back[s][j] for r in range(3) for s in range(3))
+                    if acc != (lam * coeffs[i] if i == j else 0):
+                        raise EngineError("diagonal reduction failed its own check")
+            self._reduced = (tuple(coeffs), tuple(tuple(row) for row in back))
         return self._reduced
 
     def __eq__(self, other):
@@ -147,111 +180,54 @@ def _smooth_fibre(surface, model: HeightModel | None, y) -> tuple[FibreClass, Te
 
 
 # ---------------------------------------------------------------------------
-# diagonalization and Legendre reduction
+# integer diagonal congruence
 
 
-def _diagonalize(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rational congruence U with U^T M U diagonal; returns (U, diag)."""
-    m = [[Fraction(matrix[i][j]) for j in range(3)] for i in range(3)]
-    u = [[Fraction(i == j) for j in range(3)] for i in range(3)]
+def _congruence(form: TernaryForm) -> tuple[list[list[int]], list[int]]:
+    """Integer T with T^T M T = diag(d); returns (T, d), cached on the form.
 
-    def addcol(l, k, f):
-        # col_l += f * col_k, mirrored on rows to stay congruent
+    A zero pivot is swapped for a later nonzero diagonal entry, or made
+    from a cross term when the rest of the diagonal is zero.  The shear
+    col_l <- |m_kk| col_l - sgn(m_kk) m_kl col_k scales all later columns
+    by |m_kk| together, so each stays a positive multiple of the rational
+    elimination's column and a zero-block shear adds like to like.
+    """
+    if form._diagonal is not None:
+        return form._diagonal
+    m = [list(row) for row in form.matrix]
+    t = [[int(i == j) for j in range(3)] for i in range(3)]
+
+    def combine(l, a, k, b):
+        # col_l <- a col_l + b col_k, mirrored on rows to stay congruent
         for i in range(3):
-            m[i][l] += f * m[i][k]
+            m[i][l] = a * m[i][l] + b * m[i][k]
         for j in range(3):
-            m[l][j] += f * m[k][j]
+            m[l][j] = a * m[l][j] + b * m[k][j]
         for i in range(3):
-            u[i][l] += f * u[i][k]
-
-    def swapcols(k, l):
-        for i in range(3):
-            m[i][k], m[i][l] = m[i][l], m[i][k]
-        m[k], m[l] = m[l], m[k]
-        for i in range(3):
-            u[i][k], u[i][l] = u[i][l], u[i][k]
+            t[i][l] = a * t[i][l] + b * t[i][k]
 
     for k in range(3):
         if m[k][k] == 0:
             pivot = next((l for l in range(k, 3) if m[l][l] != 0), None)
             if pivot is None:
-                # zero diagonal block: pull a cross term onto the diagonal
                 pair = next(
-                    ((l, t) for l in range(k, 3) for t in range(l + 1, 3) if m[l][t] != 0),
+                    ((l, s) for l in range(k, 3) for s in range(l + 1, 3) if m[l][s] != 0),
                     None,
                 )
                 if pair is None:
                     raise EngineError("diagonalization hit a zero block on a nonsingular form")
-                addcol(pair[0], pair[1], Fraction(1))
+                combine(pair[0], 1, pair[1], 1)
                 pivot = pair[0]
             if pivot != k:
-                swapcols(k, pivot)
-        for l in range(k + 1, 3):
-            if m[k][l] != 0:
-                addcol(l, k, -m[k][l] / m[k][k])
-    return u, [m[i][i] for i in range(3)]
-
-
-def _legendre_reduce(matrix) -> tuple[tuple[int, int, int], tuple]:
-    """Squarefree pairwise coprime diagonal model plus the back transform."""
-    u, diag = _diagonalize(matrix)
-    coeffs = []
-    for i in range(3):
-        d = diag[i]
-        if d == 0:
-            raise EngineError("zero diagonal entry on a nonsingular form")
-        # d = m * r^2 with m squarefree; absorb r into the basis column
-        prod = d.numerator * d.denominator
-        m_i = squarefree_part(prod)
-        k = math.isqrt(prod // m_i)
-        scale = Fraction(d.denominator, k)
-        for r in range(3):
-            u[r][i] *= scale
-        coeffs.append(m_i)
-
-    # from here on back^T M back = lam * diag(coeffs): rescaling the
-    # equation keeps the zero set but not the strict congruence
-    lam = Fraction(1)
-    g = math.gcd(*coeffs)
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-        lam *= g
-
-    # pairwise coprime: if p | m_i, m_j then w_k = p w_k' divides p out
-    changed = True
-    while changed:
-        changed = False
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            g = math.gcd(coeffs[i], coeffs[j])
-            if g > 1:
-                p = min(factorize(g))
-                coeffs[i] //= p
-                coeffs[j] //= p
-                coeffs[k] *= p
-                for r in range(3):
-                    u[r][k] *= p
-                lam *= p
-                changed = True
-                break
-
-    out = tuple(coeffs)
-    back = tuple(tuple(u[i][j] for j in range(3)) for i in range(3))
-    _check_reduction(matrix, out, back, lam)
-    return out, back
-
-
-def _check_reduction(matrix, coeffs, back, lam):
-    # exact sanity: back^T M back must equal lam * diag(coeffs)
-    for i in range(3):
-        for j in range(3):
-            acc = Fraction(0)
-            for r in range(3):
-                for s in range(3):
-                    acc += back[r][i] * matrix[r][s] * back[s][j]
-            want = lam * coeffs[i] if i == j else 0
-            if acc != want:
-                raise EngineError("diagonal reduction failed its own check")
+                for row in (*t, *m):
+                    row[k], row[pivot] = row[pivot], row[k]
+                m[k], m[pivot] = m[pivot], m[k]
+        a = m[k][k]
+        if any(m[k][l] for l in range(k + 1, 3)):
+            for l in range(k + 1, 3):
+                combine(l, abs(a), k, -m[k][l] if a > 0 else m[k][l])
+    form._diagonal = (t, [m[i][i] for i in range(3)])
+    return form._diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +254,13 @@ def hilbert_symbol(a: int, b: int, place) -> int:
     field.  Formulas split by the parity of the valuations, with the
     unit characters mod 8 doing the work at p = 2.
     """
-    if a == 0 or b == 0:
-        raise InvalidInputError("hilbert symbol needs nonzero arguments")
+    if not (isinstance(a, int) and isinstance(b, int)) or a == 0 or b == 0:
+        raise InvalidInputError("hilbert symbol needs nonzero integer arguments")
     if place == INF or place == "inf":
         return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    if not is_prime(p):
-        raise InvalidInputError(f"{place} is not a prime or 'inf'")
+    p = place
+    if not (isinstance(p, int) and is_prime(p)):
+        raise InvalidInputError(f"{place!r} is not a prime or 'inf'")
     alpha, u = 0, a
     while u % p == 0:
         u //= p
@@ -297,10 +273,7 @@ def hilbert_symbol(a: int, b: int, place) -> int:
         e = _two_unit_eps(u) * _two_unit_eps(v)
         e += alpha * _two_unit_omega(v) + beta * _two_unit_omega(u)
         return -1 if e % 2 else 1
-    e = 0
-    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
-        e = 1
-    s = (-1) ** e
+    s = -1 if alpha % 2 and beta % 2 and p % 4 == 3 else 1
     if beta % 2:
         s *= _legendre(u, p)
     if alpha % 2:
@@ -311,16 +284,16 @@ def hilbert_symbol(a: int, b: int, place) -> int:
 def local_solubility(form, place) -> bool:
     """Does the conic have a point over Q_p (or over R for place=inf)?"""
     form = _as_form(form)
-    (m0, m1, m2), _ = form.reduced()
-    return hilbert_symbol(-m0 * m2, -m1 * m2, place) == 1
+    _, (d0, d1, d2) = _congruence(form)
+    return hilbert_symbol(-d0 * d2, -d1 * d2, place) == 1
 
 
 def insoluble_places(form) -> tuple:
     """Places (inf and primes dividing 2 det) where the conic fails locally.
 
-    Empty tuple iff the conic has rational points: an odd prime outside
-    the reduced coefficients cannot obstruct, and every reduced prime
-    divides the determinant.
+    Empty tuple iff the conic has rational points (Hasse-Minkowski): for
+    p not dividing 2 det the conic is smooth over Z_p, so it has a point
+    mod p that lifts to Q_p, and no other place can obstruct.
     """
     form = _as_form(form)
     if form._insoluble is None:

@@ -9,7 +9,6 @@ declared degree is what the surface validator checks against.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .projective import InvalidInputError
@@ -202,23 +201,21 @@ def univ_derivative(coeffs: Sequence) -> list:
     return [i * coeffs[i] for i in range(1, len(coeffs))] or [0]
 
 
-def univ_gcd_degree(a: Iterable, b: Iterable) -> int:
-    """Degree of gcd(a, b) over Q (-1 if both zero)."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while univ_degree(fb) >= 0:
-        fa, fb = fb, _univ_mod(fa, fb)
-    return univ_degree(fa)
+def univ_gcd_degree(a: Iterable[int], b: Iterable[int]) -> int:
+    """Degree of gcd(a, b) over Q (-1 if both zero).
 
-
-def _univ_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    da, db = univ_degree(a), univ_degree(b)
-    r = list(a)
-    lead = b[db]
-    while da >= db:
-        q = r[da] / lead
-        for i in range(db + 1):
-            r[da - db + i] -= q * b[i]
-        r[da] = Fraction(0)  # guard against round-off; exact here
-        da = univ_degree(r)
-    return r
+    Euclid on primitive pseudo-remainders in integers: scaling by a
+    nonzero integer keeps the gcd over Q, and dividing out each
+    remainder's content keeps the coefficients small.
+    """
+    a, b = list(a), list(b)
+    while (db := univ_degree(b)) >= 0:
+        r = a
+        while (dr := univ_degree(r)) >= db:
+            q = r[dr]
+            r = [b[db] * c for c in r]
+            for i in range(db + 1):
+                r[dr - db + i] -= q * b[i]
+        g = math.gcd(*r)
+        a, b = b, [c // g for c in r] if g else r
+    return univ_degree(a)

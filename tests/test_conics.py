@@ -31,6 +31,7 @@ from conic_census.conics import (
     _count_parametrized,
     _quad_abs_le,
 )
+from conic_census.arith import factorize
 from conic_census.models import two_squares_bundle
 
 INF = math.inf
@@ -80,6 +81,33 @@ def random_nondiagonal_forms(seed, count, size=9):
     return out
 
 
+def seeded_special_forms(seed, count, size=9):
+    """Seeded nondegenerate nondiagonal forms in four kinds, taken in
+    turn: generic, m00 = 0, leading 2x2 minor m00 m11 - m01^2 = 0 with
+    m00 != 0, and whole diagonal zero.  The last three send the
+    diagonal congruence through a pivot swap or a zero-block shear."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c, d, e, f = (rng.randint(-size, size) for _ in range(6))
+        kind = len(out) % 4
+        if kind == 1:
+            a = 0
+        elif kind == 2:
+            a = rng.choice([x for x in range(-size, size + 1) if x])
+            g, h = rng.randint(-3, 3), rng.randint(-3, 3)
+            a, b, d = a * g * g, a * h * h, a * g * h
+        elif kind == 3:
+            a = b = c = 0
+        if d == e == f == 0:
+            continue
+        try:
+            out.append(TernaryForm([[a, d, e], [d, b, f], [e, f, c]]))
+        except InvalidInputError:
+            continue
+    return out
+
+
 def brute_slice_count(form, bounds):
     """Oracle: projective points (x0 : x1 : 0) of the conic with
     |x0| <= b0 and |x1| <= b1, one canonical representative each."""
@@ -112,14 +140,19 @@ def test_reduction_is_congruence_up_to_scale():
     # back^T M back must be an exact positive rational multiple of diag(m)
     rng = random.Random(5)
     tested = 0
-    while tested < 40:
-        entries = [rng.randint(-9, 9) for _ in range(6)]
-        a, b, c, d, e, f = entries
-        mat = [[a, d, e], [d, b, f], [e, f, c]]
-        try:
-            form = TernaryForm(mat)
-        except InvalidInputError:
-            continue
+    special = seeded_special_forms(5, 80)
+    while tested < 40 + len(special):
+        if tested < 40:
+            entries = [rng.randint(-9, 9) for _ in range(6)]
+            a, b, c, d, e, f = entries
+            mat = [[a, d, e], [d, b, f], [e, f, c]]
+            try:
+                form = TernaryForm(mat)
+            except InvalidInputError:
+                continue
+        else:
+            form = special[tested - 40]
+            mat = form.matrix
         (m0, m1, m2), back = form.reduced()
         m = (m0, m1, m2)
         prod = [[sum(back[k][i] * mat[k][l] * back[l][j] for k in range(3) for l in range(3))
@@ -135,6 +168,8 @@ def test_reduction_is_congruence_up_to_scale():
         for i in range(3):
             for j in range(i + 1, 3):
                 assert math.gcd(m[i], m[j]) == 1
+        assert all(v == int(v) for row in back for v in row)
+        assert all(max(factorize(c).values(), default=1) == 1 for c in m)
         tested += 1
 
 
@@ -142,6 +177,16 @@ def test_parabola_reduces_to_unit_coefficients():
     par = TernaryForm([[0, 0, -1], [0, 2, 0], [-1, 0, 0]])
     coeffs, _ = par.reduced()
     assert sorted(abs(c) for c in coeffs) == [1, 1, 1]
+
+
+def test_zero_block_shear_matches_rational_elimination():
+    # the pivot swap leaves one later column with a zero cross term; it is
+    # scaled with the other, so the zero-block shear that follows adds
+    # like to like and the model is the rational elimination's (-15, -1, 1),
+    # where a mismatched scale would give (-5, -1, 1)
+    form = TernaryForm([[0, 0, -10], [0, -12, 6], [-10, 6, -3]])
+    assert form.reduced()[0] == (-15, -1, 1)
+    assert find_point(form) == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +243,12 @@ def test_hilbert_rejects_bad_input():
         hilbert_symbol(0, 3, 2)
     with pytest.raises(InvalidInputError):
         hilbert_symbol(1, 1, 6)
+    # non-integer places and arguments are rejected, not truncated
+    for a, b, place in ((2, 3, 3.5), (5, 3, 7.9), (1.5, 2, 3), (2, 3, "x"), (2.0, 3, 3)):
+        with pytest.raises(InvalidInputError):
+            hilbert_symbol(a, b, place)
+    with pytest.raises(InvalidInputError):
+        local_solubility(CIRCLE, "INF")
 
 
 def test_local_solubility_examples():
@@ -227,6 +278,25 @@ def test_insoluble_place_count_is_even():
         c = [rng.choice([x for x in range(-15, 16) if x]) for _ in range(3)]
         form = diag(*c)
         assert len(insoluble_places(form)) % 2 == 0
+    for form in seeded_special_forms(3, 200, size=30):
+        assert len(insoluble_places(form)) % 2 == 0
+
+
+def test_local_solubility_matches_lift_tree_and_signature():
+    # an independent witness per place: at p | 2 det, the lift tree's
+    # density is positive exactly when the conic has a Q_p-point; at inf,
+    # a real point exists exactly when M is indefinite (Sylvester)
+    from conic_census.localdata import _sigma_p_gram
+
+    forms = seeded_special_forms(11, 160, size=9) + [diag(1, 1, -3), diag(1, 1, 1), CIRCLE]
+    for form in forms:
+        m = form.matrix
+        minor = m[0][0] * m[1][1] - m[0][1] ** 2
+        definite = m[0][0] != 0 and minor > 0 and (m[0][0] > 0) == (form.det > 0)
+        assert local_solubility(form, INF) == (not definite)
+        for p in form.bad_primes:
+            if p <= 13:
+                assert local_solubility(form, p) == (_sigma_p_gram(m, p) > 0), (m, p)
 
 
 def test_is_soluble_fermat_pattern():
@@ -275,6 +345,12 @@ def test_find_point_always_on_conic():
         assert form.evaluate(pt) == 0
         assert math.gcd(*pt) == 1
         found += 1
+    for form in seeded_special_forms(17, 120, size=12):
+        pt = find_point(form)
+        assert (pt is None) == (not is_soluble(form))
+        if pt is not None:
+            assert form.evaluate(pt) == 0
+            assert math.gcd(*pt) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from conic_census import InvalidInputError, MultiPoly
+from conic_census.bundle import discriminant
+from conic_census.models import difference_of_squares_bundle, mixed_bundle, two_squares_bundle
 from conic_census.polynomials import (
     binary_to_univariate,
     univ_derivative,
@@ -66,3 +68,39 @@ def test_univariate_helpers():
     assert univ_gcd_degree(sq, univ_derivative(sq)) == 1
     coprime = [2, 0, 1]  # u^2 + 2
     assert univ_gcd_degree(coprime, univ_derivative(coprime)) == 0
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_gcd_degree_matches_sympy():
+    # sympy's gcd over Q is the oracle: seeded products sharing a forced
+    # factor, each polynomial against its derivative, and the bundles'
+    # discriminants (difference_of_squares_bundle(12)'s has degree 23)
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+
+    def oracle(f, g):
+        pf, pg = sympy.Poly(f[::-1], u), sympy.Poly(g[::-1], u)
+        return -1 if pf.is_zero and pg.is_zero else sympy.degree(sympy.gcd(pf, pg), u)
+
+    rng = random.Random(19)
+    pairs = []
+    for _ in range(150):
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+        h = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+        pairs += [(_times(f, h), _times(g, h)), (f, univ_derivative(f))]
+        sq = _times(_times(f, h), h)
+        pairs.append((sq, univ_derivative(sq)))
+    for make in (two_squares_bundle, mixed_bundle, lambda: difference_of_squares_bundle(12)):
+        d = binary_to_univariate(discriminant(make()))
+        pairs.append((d, univ_derivative(d)))
+    assert univ_degree(pairs[-1][0]) == 23
+    for f, g in pairs:
+        assert univ_gcd_degree(f, g) == oracle(f, g), (f, g)
