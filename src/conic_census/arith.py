@@ -8,17 +8,14 @@ plenty for the discriminants and resultants that show up at desk scale.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "det3",
     "extgcd",
     "nth_root_floor",
-    "fraction_root_floor",
     "is_prime",
     "factorize",
     "prime_divisors",
-    "divisor_count",
     "trial_divide",
     "valuation",
     "minors_gcd",
@@ -74,30 +71,14 @@ def nth_root_floor(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # float seed, then exact correction
-    r = int(round(n ** (1.0 / k)))
-    if r < 1:
-        r = 1
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
-def fraction_root_floor(x: Fraction, k: int) -> int:
-    """Largest integer r >= 0 with r**k <= x (x >= 0 rational, k >= 1).
-
-    Decided exactly by integer cross multiplication: r**k * den <= num.
-    """
-    if x < 0:
-        raise ValueError("fraction_root_floor needs x >= 0")
-    num, den = x.numerator, x.denominator
-    r = nth_root_floor(num // den, k)
-    # num//den <= x, so r is a lower start; bump while the next power fits
-    while (r + 1) ** k * den <= num:
-        r += 1
-    return r
+    # integer Newton from a power of two above the root: the iterates
+    # fall strictly until they reach the floor of the root, then stop
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -190,15 +171,6 @@ def factorize(n: int) -> dict[int, int]:
 
 def prime_divisors(n: int) -> list[int]:
     return sorted(factorize(n))
-
-
-def divisor_count(n: int) -> int:
-    if n == 0:
-        raise ValueError("divisor_count(0)")
-    out = 1
-    for e in factorize(n).values():
-        out *= e + 1
-    return out
 
 
 def valuation(n: int, p: int) -> int:

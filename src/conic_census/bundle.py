@@ -70,17 +70,21 @@ class FibreClass:
     """Exact local data of the fibre over a base point.
 
     Computed once per fibre by fibre_class: the canonical base point, the
-    integer Gram matrix, its determinant disc, the gcd of its 2x2 minors
-    and whether the fibre is smooth (disc != 0).  The arithmetic that
-    only smooth fibres need (factorization of 2 disc, solubility) is
-    cached on the fibre's TernaryForm instead.
+    integer Gram matrix, its determinant disc and whether the fibre is
+    smooth (disc != 0).  The arithmetic that only smooth fibres need
+    (factorization of 2 disc, solubility) is cached on the fibre's
+    TernaryForm instead.
     """
 
     y: ProjPoint
     gram: tuple[tuple[int, int, int], ...]
     disc: int
-    minors_gcd: int
     smooth: bool
+
+    @property
+    def minors_gcd(self) -> int:
+        """gcd of the 2x2 minors of the Gram matrix, computed on demand."""
+        return minors_gcd(self.gram)
 
 
 def discriminant(surface: ConicBundleSurface) -> MultiPoly:
@@ -142,22 +146,24 @@ def fibre_class(surface: ConicBundleSurface, y) -> FibreClass:
         raise InvalidInputError("base point has wrong dimension")
     gram = surface.gram_at(pt.coords)
     disc = det3(gram)
-    return FibreClass(y=pt, gram=gram, disc=disc, minors_gcd=minors_gcd(gram), smooth=disc != 0)
+    return FibreClass(y=pt, gram=gram, disc=disc, smooth=disc != 0)
 
 
 # -- importing a cubic surface with a rational line ---------------------
 
 
 def _unimodular_row_reduce(rows: list[list[int]]) -> list[list[int]]:
-    """Left-multiply [A | I] style: return U with U*A upper-trapezoidal.
+    """Unimodular T with T^-1 * A upper-trapezoidal.
 
-    A is handed in as a list of m rows of width 2.  The returned U is an
-    m x m unimodular matrix such that (U*A) has zeros below the first two
+    A is handed in as a list of m rows of width 2.  Each unimodular 2-row
+    move E = [[s, t], [-q, p]] on A is recorded as E^-1 = [[p, -t], [q, s]]
+    on the right of T, so T is the inverse of the product of the moves
+    without ever being inverted.  T^-1 * A has zeros below the first two
     rows and below the (1,1) pivot.
     """
     m = len(rows)
     a = [row[:] for row in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    cols = [[int(i == j) for j in range(m)] for i in range(m)]  # columns of T
 
     def combine(r0: int, r1: int, col: int):
         # unimodular 2-row move making a[r1][col] zero
@@ -166,17 +172,19 @@ def _unimodular_row_reduce(rows: list[list[int]]) -> list[list[int]]:
             return
         if x == 0:
             a[r0], a[r1] = a[r1], a[r0]
-            u[r0], u[r1] = u[r1], u[r0]
+            cols[r0], cols[r1] = cols[r1], cols[r0]
             return
         g = math.gcd(x, y)
         s, t = extgcd(x, y)
         p, q = x // g, y // g
-        new0a = [s * a[r0][k] + t * a[r1][k] for k in range(2)]
-        new1a = [-q * a[r0][k] + p * a[r1][k] for k in range(2)]
-        new0u = [s * u[r0][k] + t * u[r1][k] for k in range(m)]
-        new1u = [-q * u[r0][k] + p * u[r1][k] for k in range(m)]
-        a[r0], a[r1] = new0a, new1a
-        u[r0], u[r1] = new0u, new1u
+        a[r0], a[r1] = (
+            [s * u + t * v for u, v in zip(a[r0], a[r1])],
+            [-q * u + p * v for u, v in zip(a[r0], a[r1])],
+        )
+        cols[r0], cols[r1] = (
+            [p * u + q * v for u, v in zip(cols[r0], cols[r1])],
+            [-t * u + s * v for u, v in zip(cols[r0], cols[r1])],
+        )
 
     for r in range(1, m):
         combine(0, r, 0)
@@ -184,29 +192,7 @@ def _unimodular_row_reduce(rows: list[list[int]]) -> list[list[int]]:
         combine(1, r, 1)
     if a[1][1] == 0:
         raise SurfaceError("the two points do not span a line")
-    return u
-
-
-def _int_inverse(u: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    from fractions import Fraction
-
-    m = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(m)] + [Fraction(i == j) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    out = [[aug[i][m + j] for j in range(m)] for i in range(m)]
-    res = [[int(v) for v in row] for row in out]
-    if any(out[i][j] != res[i][j] for i in range(m) for j in range(m)):
-        raise SurfaceError("matrix is not unimodular")  # pragma: no cover
-    return res
+    return [list(row) for row in zip(*cols)]
 
 
 def import_cubic_with_line(cubic: MultiPoly, p, q) -> ConicBundleSurface:
@@ -232,8 +218,7 @@ def import_cubic_with_line(cubic: MultiPoly, p, q) -> ConicBundleSurface:
     if pp == qq:
         raise SurfaceError("the two points do not span a line")
     cols = [[pp[i], qq[i]] for i in range(m)]
-    u = _unimodular_row_reduce(cols)
-    t = _int_inverse(u)
+    t = _unimodular_row_reduce(cols)
     moved = cubic.compose_linear(t)
     # containment: no monomial may avoid w_2..w_{m-1} entirely
     for exps, c in moved.terms.items():

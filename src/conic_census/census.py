@@ -21,10 +21,10 @@ from .arith import is_prime, prime_divisors, squarefree_part
 from .bundle import ConicBundleSurface, fibre_class
 from .conics import TernaryForm, _count_fibre, check_strategy
 from .errors import EngineError, InvalidInputError
-from .heights import HeightModel, base_bound, check_model, standard_height
+from .heights import HeightModel, base_bound, check_model
 from .localdata import SIGMA_INF_REL_ERR, _peyre_constant, peyre_constant
 from .models import difference_of_squares_bundle, two_squares_bundle
-from .projective import enumerate_base
+from .projective import ProjPoint, enumerate_base
 
 __all__ = [
     "BtReport",
@@ -54,7 +54,7 @@ def surface_digest(surface: ConicBundleSurface) -> str:
 # ---------------------------------------------------------------------------
 # fibre-level parallel map
 
-# Workers receive plain coordinate tuples and rebuild points themselves;
+# Workers receive canonical coordinate tuples and wrap them as points;
 # results come back in submission order, so every reduction below sees
 # the same value stream whether it ran on one process or many.  The
 # callers have checked the model and the strategy, so each fibre is
@@ -67,7 +67,7 @@ def _fibre_rows(task):
     per_fibre, surface, model, coords, args = task
     rows = []
     for y in coords:
-        fc = fibre_class(surface, y)
+        fc = fibre_class(surface, ProjPoint._wrap(y))
         value = per_fibre(fc, TernaryForm(fc.gram), model, *args) if fc.smooth else None
         rows.append((fc.y, value))
     return rows
@@ -373,8 +373,11 @@ def northcott_probe(a: int, count: int = 20, f=None) -> NorthcottReport:
         hmax *= 2
         pts = list(islice(enumerate_base(1, hmax), count))
     for y in pts:
-        value = standard_height(model, y, (1, -1, 0)).as_fraction()
-        expected = Fraction(1, y.height() ** k)
+        # H(y)^A * max_j H(y)^(a_j) |x_j| at x = (1, -1, 0); A is an integer
+        h = y.height()
+        factor = max(h**w * abs(c) for w, c in zip(model.a, (1, -1, 0)))
+        value = Fraction(h) ** int(model.A) * factor
+        expected = Fraction(1, h**k)
         if value != expected or value > 1:
             raise EngineError("section height drifted off the closed form")
         if value == 1:

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .arith import (
     det3,
-    divisor_count,
     extgcd,
     factorize,
     is_prime,
@@ -376,18 +374,28 @@ def _mdot(m, a, b):
     return sum(m[i][j] * a[i] * b[j] for i in range(3) for j in range(3))
 
 
+def _round_div(a: int, b: int) -> int:
+    """round(a / b) for b > 0, halves to even as round(Fraction) does."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
+
+
 def _size_reduce(e, p):
     # shrink e by integer multiples of p (Euclidean projection)
-    k = round(Fraction(_dot(e, p), _dot(p, p)))
+    k = _round_div(_dot(e, p), _dot(p, p))
     return tuple(e[i] - k * p[i] for i in range(3))
 
 
 def _reduce_basis(p, e1, e2):
     """Lagrange-reduce (E1, E2) on the plane orthogonal to p."""
-    pp = Fraction(_dot(p, p))
+    pp = _dot(p, p)
 
     def perp_dot(a, b):
-        return Fraction(_dot(a, b)) - Fraction(_dot(a, p)) * _dot(b, p) / pp
+        # pp times the dot product of the projections onto p's orthogonal
+        # plane: an integer, and pp > 0 keeps every comparison below
+        return pp * _dot(a, b) - _dot(a, p) * _dot(b, p)
 
     e1 = _size_reduce(e1, p)
     e2 = _size_reduce(e2, p)
@@ -395,7 +403,7 @@ def _reduce_basis(p, e1, e2):
         n1 = perp_dot(e1, e1)
         if n1 == 0:
             raise EngineError("degenerate completion basis")
-        k = round(perp_dot(e1, e2) / n1)
+        k = _round_div(perp_dot(e1, e2), n1)
         if k:
             e2 = tuple(e2[i] - k * e1[i] for i in range(3))
         if perp_dot(e2, e2) < n1:
@@ -907,26 +915,6 @@ def _count_box(form: TernaryForm, box) -> int:
     return _count_box_python(m, b0, b1, b2)
 
 
-def count_box_points(form, bounds, include_plane_at_infinity: bool = False) -> int:
-    """Points of the conic whose canonical coordinates fit in the box.
-
-    Counts projective points with |x_j| <= bounds_j and x2 != 0; the flag
-    adds the (at most two) points on x2 = 0 as well.
-    """
-    form = _as_form(form)
-    b0, b1, b2 = (int(b) for b in bounds)
-    if min(b0, b1, b2) < 0:
-        raise InvalidInputError("box bounds must be nonnegative")
-    count = _count_box(form, (b0, b1, b2))
-    if not include_plane_at_infinity:
-        return count
-    # slice x2 = 0: the point (1 : 0 : 0), then one row per x1 >= 1
-    m = form.matrix
-    if m[0][0] == 0 and b0 >= 1:
-        count += 1
-    return count + _count_rows(m, b0, range(1, b1 + 1), 0)
-
-
 # ---------------------------------------------------------------------------
 # fibre counting
 
@@ -975,24 +963,3 @@ def _count_fibre(fc: FibreClass, form: TernaryForm, model: HeightModel, bound, s
     if strategy == "box":
         return 2 * _count_box(form, box)
     return 2 * _count_parametrized(form, box)
-
-
-# ---------------------------------------------------------------------------
-# box uniformity diagnostic
-
-
-def bsj_diagnostic(form, bounds) -> float:
-    """Upper-bound scale for conic points in a box.
-
-    tau(|det|) * ((D0^(3/2) B1 B2 B3 / |det|)^(1/3) + 1) with D0 the gcd
-    of the 2x2 minors; the point count in any box is O of this times an
-    absolute constant, uniformly in the form.
-    """
-    form = _as_form(form)
-    b = [int(x) for x in bounds]
-    if min(b) < 0:
-        raise InvalidInputError("box bounds must be nonnegative")
-    det = abs(form.det)
-    d0 = form.minors_gcd
-    vol = (d0**1.5 * b[0] * b[1] * b[2] / det) ** (1.0 / 3.0)
-    return divisor_count(det) * (vol + 1.0)

@@ -8,18 +8,18 @@ with alpha a rational parameter.  alpha must exceed the regime threshold
 (a0 + a1 + e over a P^1 base, e + 2(a0+a1+a2)/3 in general) and A + a2
 must be positive, otherwise fibre boxes never close up.
 
-All comparisons against rational bounds are decided by raising both
-sides to the q-th power (q the denominator of alpha) and comparing
-integers, never by floating point.
+A point lies under a rational bound B exactly when it lies in the box
+of fibre_box.  Each side of that box is one integer q-th root (q the
+denominator of alpha): both sides of the height test are raised to the
+q-th power, so integers decide it, never floating point.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import fraction_root_floor
+from .arith import nth_root_floor
 from .projective import InvalidInputError, ProjPoint, canonicalize
 
 
@@ -63,81 +63,6 @@ def check_model(surface, model: HeightModel) -> None:
         raise InvalidInputError("height model does not match the surface")
 
 
-class ExactHeight:
-    """Value H(y)^A * m held as (integer base, rational exponent, rational factor).
-
-    The q-th power of the value is rational, so ordering against rational
-    bounds (and between heights from the same model) is exact.
-    """
-
-    __slots__ = ("base", "exponent", "factor")
-
-    def __init__(self, base: int, exponent: Fraction, factor: Fraction):
-        self.base = base
-        self.exponent = Fraction(exponent)
-        self.factor = Fraction(factor)
-
-    def _qth_power(self, q: int) -> Fraction:
-        r = self.exponent * q
-        assert r.denominator == 1
-        return Fraction(self.base) ** int(r) * self.factor**q
-
-    def compare(self, bound) -> int:
-        """-1, 0 or 1 against a rational bound, decided exactly."""
-        b = Fraction(bound)
-        if b < 0:
-            return 1
-        q = self.exponent.denominator
-        lhs = self._qth_power(q)
-        rhs = b**q
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __le__(self, other):
-        if isinstance(other, ExactHeight):
-            return self._sub_cmp(other) <= 0
-        return self.compare(other) <= 0
-
-    def __lt__(self, other):
-        if isinstance(other, ExactHeight):
-            return self._sub_cmp(other) < 0
-        return self.compare(other) < 0
-
-    def __eq__(self, other):
-        if isinstance(other, ExactHeight):
-            return self._sub_cmp(other) == 0
-        return self.compare(other) == 0
-
-    def _sub_cmp(self, other: "ExactHeight") -> int:
-        q = math.lcm(self.exponent.denominator, other.exponent.denominator)
-        lhs, rhs = self._qth_power(q), other._qth_power(q)
-        return (lhs > rhs) - (lhs < rhs)
-
-    def as_fraction(self) -> Fraction:
-        """Exact value when the exponent is integral (raises otherwise)."""
-        if self.exponent.denominator != 1:
-            raise InvalidInputError("height is irrational; use approx()")
-        return Fraction(self.base) ** int(self.exponent) * self.factor
-
-    def approx(self) -> float:
-        return float(self.base) ** float(self.exponent) * float(self.factor)
-
-    def __repr__(self):
-        return f"~{self.approx():.6g}"
-
-
-def standard_height(model: HeightModel, y, x: Sequence[int]) -> ExactHeight:
-    """H*(y; x) for the canonical representatives of y and x."""
-    pty = y if isinstance(y, ProjPoint) else canonicalize(y)
-    if len(pty) != model.n + 1:
-        raise InvalidInputError("base point has wrong dimension")
-    ptx = x if isinstance(x, ProjPoint) else canonicalize(x)
-    if len(ptx) != 3:
-        raise InvalidInputError("fibre point needs three coordinates")
-    hy = pty.height()
-    factor = max(Fraction(hy) ** model.a[j] * abs(ptx[j]) for j in range(3))
-    return ExactHeight(hy, model.A, factor)
-
-
 def fibre_box(model: HeightModel, y, bound) -> tuple[int, int, int]:
     """Componentwise box (b0, b1, b2) with |x_j| <= b_j  iff  H* <= bound.
 
@@ -152,11 +77,13 @@ def fibre_box(model: HeightModel, y, bound) -> tuple[int, int, int]:
         return (0, 0, 0)
     hy = pty.height()
     q = model.A.denominator
-    bq = b**q
+    num, den = b.numerator**q, b.denominator**q
     out = []
-    for j in range(3):
-        p = int((model.A + model.a[j]) * q)
-        out.append(fraction_root_floor(bq / Fraction(hy) ** p, q))
+    for w in model.a:
+        # b_j^q <= B^q / H(y)^p with p = (A + a_j) q; b_j^q is an integer,
+        # so comparing it with the floor of the right side is exact
+        p = model.A.numerator + w * q
+        out.append(nth_root_floor(num // (den * hy**p) if p >= 0 else num * hy**-p // den, q))
     return tuple(out)
 
 
@@ -166,5 +93,5 @@ def base_bound(model: HeightModel, bound) -> int:
     if b < 1:
         return 0
     q = model.A.denominator
-    p2 = int((model.A + model.a[2]) * q)
-    return fraction_root_floor(b**q, p2)
+    p2 = model.A.numerator + model.a[2] * q
+    return nth_root_floor(b.numerator**q // b.denominator**q, p2)

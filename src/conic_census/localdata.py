@@ -8,14 +8,13 @@ turns it into a finite sum of elementary integrals.  The Tamagawa number
 closes the good-prime tail with the exact Euler product 6/pi^2.
 
 The public functions keep a rel_tol parameter for the callers that pass
-it; sigma_inf is exact up to rounding, so it is ignored, and
-fibre_report only echoes it.
+it; sigma_inf is exact up to rounding, so it is ignored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -448,16 +447,11 @@ def peyre_constant(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> flo
 
 @dataclass(frozen=True)
 class FibreReport:
-    """Everything local the engine knows about one smooth fibre.
-
-    quad_tol echoes the rel_tol handed to fibre_report; sigma_inf is in
-    closed form and does not depend on it.
-    """
+    """Everything local the engine knows about one smooth fibre."""
 
     y: tuple
     soluble: bool
     sigma_inf: float
-    quad_tol: float = 1e-8
     sigma_p: dict = field(default_factory=dict)  # bad primes only
     tamagawa: float = 0.0
     peyre: float = 0.0
@@ -478,4 +472,4 @@ def _fibre_report(fc: FibreClass, form: TernaryForm, model: HeightModel) -> Fibr
 
 def fibre_report(surface, model: HeightModel, y, rel_tol: float = 1e-8) -> FibreReport:
     fc, form = _smooth_fibre(surface, model, y)
-    return replace(_fibre_report(fc, form, model), quad_tol=rel_tol)
+    return _fibre_report(fc, form, model)

@@ -67,7 +67,7 @@ def mixed_bundle() -> ConicBundleSurface:
 
 
 def sample_cubic_with_line() -> tuple[MultiPoly, tuple[int, ...], tuple[int, ...]]:
-    """A smooth-enough cubic threefold slice containing the line z2 = z3 = 0.
+    """A smooth cubic surface containing the line z2 = z3 = 0.
 
     Returns (cubic, p, q) ready for import_cubic_with_line; the blow-up
     along that line is the bundle with Gram diag(y0, y1, y0^3 + y1^3).

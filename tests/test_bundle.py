@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+import sympy
 
 from conic_census import (
     ConicBundleSurface,
@@ -15,6 +16,7 @@ from conic_census import (
     import_cubic_with_line,
     validate,
 )
+from conic_census.bundle import _unimodular_row_reduce
 from conic_census.models import (
     difference_of_squares_bundle,
     mixed_bundle,
@@ -179,6 +181,26 @@ def test_import_cubic_moved_line():
         a = fibre_class(ref, canonicalize(y))
         b = fibre_class(s, canonicalize(y))
         assert abs(a.disc) == abs(b.disc)
+
+
+def test_unimodular_row_reduce_moves_line_to_first_plane():
+    # sympy checks that T is unimodular and that T^-1 sends p and q into
+    # span(e0, e1), the plane the cubic import substitutes into
+    rng = random.Random(29)
+    done = 0
+    while done < 200:
+        m = rng.randint(4, 6)
+        p = [rng.randint(-9, 9) for _ in range(m)]
+        q = [rng.randint(-9, 9) for _ in range(m)]
+        pq = sympy.Matrix([p, q]).T
+        if pq.rank() < 2:
+            continue
+        t = sympy.Matrix(_unimodular_row_reduce([[a, b] for a, b in zip(p, q)]))
+        assert t.det() in (1, -1)
+        moved = t.inv() * pq
+        assert all(v.is_integer for v in moved)
+        assert moved[2:, :].is_zero_matrix
+        done += 1
 
 
 def test_northcott_surface_validates():

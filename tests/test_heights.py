@@ -12,12 +12,22 @@ from conic_census import (
     base_bound,
     canonicalize,
     fibre_box,
-    standard_height,
 )
+from conic_census.arith import nth_root_floor
 
 
 def make_model(alpha=1):
     return HeightModel(1, (0, 0, 1), 0, alpha)
+
+
+def height_at_most(model, y, x, bound):
+    """Oracle: H*(y; x) = H(y)^A max_j H(y)^(a_j) |x_j| <= bound, decided
+    on the q-th powers of both sides as exact rationals (q the
+    denominator of A), for canonical y and primitive x."""
+    h = Fraction(y.height())
+    q = model.A.denominator
+    factor = max(h**w * abs(c) for w, c in zip(model.a, x))
+    return h ** int(model.A * q) * factor**q <= Fraction(bound) ** q
 
 
 def test_exponent_A():
@@ -40,44 +50,6 @@ def test_threshold_enforced():
     HeightModel(2, (0, 1, 1), 1, Fraction(8, 3))
 
 
-def test_standard_height_examples():
-    m = make_model(1)
-    h = standard_height(m, canonicalize((1, 2)), (1, 1, 1))
-    assert h.as_fraction() == 8  # 2^2 * max(1, 1, 2)
-    h2 = standard_height(m, canonicalize((1, 1)), (1, 0, 1))
-    assert h2.as_fraction() == 1
-    # section with x2 = 0 on the weights-(0,0,12) model: H* = H(y)^(-1)
-    m3 = HeightModel(1, (0, 0, 12), 0, 9)
-    h3 = standard_height(m3, canonicalize((1, 7)), (1, -1, 0))
-    assert h3.as_fraction() == Fraction(1, 7)
-
-
-def test_height_comparisons_are_exact():
-    # fractional alpha: H* = 2^(5/2) vs bound 5 -> 2^5 = 32 < 25 is false
-    m = HeightModel(1, (0, 0, 1), 0, Fraction(3, 2))  # A = 5/2
-    h = standard_height(m, canonicalize((1, 2)), (1, 0, 1))
-    # H* = 2^(5/2) * max(1, 0, 2) = 2^(7/2) ~ 11.31
-    assert h.compare(11) == 1
-    assert h.compare(12) == -1
-    assert h.compare(Fraction(724077, 64000)) == 1  # 11.3137... from below
-    assert abs(h.approx() - 2 ** 3.5) < 1e-12
-
-
-def test_exact_vs_float_comparison_margin():
-    rng = random.Random(5)
-    m = HeightModel(1, (0, 0, 1), 0, Fraction(4, 3))
-    for _ in range(300):
-        y = canonicalize((1, rng.randint(1, 50)))
-        x = (rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(1, 20))
-        h = standard_height(m, y, x)
-        bound = Fraction(rng.randint(1, 10**6), rng.randint(1, 100))
-        fa, fb = h.approx(), float(bound)
-        if fb == 0 or abs(fa - fb) / max(fa, fb) < 1e-9:
-            continue  # float margin too small to trust
-        assert (h.compare(bound) < 0) == (fa < fb)
-        assert (h.compare(bound) > 0) == (fa > fb)
-
-
 def test_fibre_box_example():
     m = make_model(1)
     assert fibre_box(m, canonicalize((1, 3)), 100) == (11, 11, 3)
@@ -89,18 +61,41 @@ def test_fibre_box_example():
 def test_fibre_box_matches_height_test():
     # |x_j| <= b_j for all j  must be equivalent to  H*(y;x) <= B
     rng = random.Random(9)
-    for alpha in (1, Fraction(3, 2), Fraction(5, 4)):
-        m = HeightModel(1, (0, 0, 1), 0, alpha)
+    models = [HeightModel(1, (0, 0, 1), 0, alpha) for alpha in (1, Fraction(3, 2), Fraction(5, 4))]
+    # weights (0, 0, 12) at alpha = 9 have A = -1: negative exponents
+    models.append(HeightModel(1, (0, 0, 12), 0, 9))
+    for m in models:
         for _ in range(60):
             y = canonicalize((rng.randint(1, 9), rng.randint(1, 9)))
-            B = Fraction(rng.randint(50, 4000))
-            box = fibre_box(m, y, B)
-            for _ in range(30):
-                x = (rng.randint(-14, 14), rng.randint(-14, 14), rng.randint(-6, 6))
-                if x == (0, 0, 0) or math.gcd(*x) != 1:
-                    continue
-                inside = all(abs(x[j]) <= box[j] for j in range(3))
-                assert inside == (standard_height(m, y, x).compare(B) <= 0)
+            for B in (Fraction(rng.randint(50, 4000)), Fraction(12345, 7)):
+                box = fibre_box(m, y, B)
+                points = [
+                    (rng.randint(-14, 14), rng.randint(-14, 14), rng.randint(-6, 6))
+                    for _ in range(30)
+                ]
+                # each side of the box and one step past it
+                for j in range(3):
+                    for side in (box[j], box[j] + 1):
+                        points.append(tuple(side if k == j else 1 for k in range(3)))
+                for x in points:
+                    if x == (0, 0, 0) or math.gcd(*x) != 1:
+                        continue
+                    inside = all(abs(x[j]) <= box[j] for j in range(3))
+                    assert inside == height_at_most(m, y, x, B)
+
+
+def test_huge_bounds_stay_exact():
+    # a float seed for the q-th root overflowed on all three
+    n = 10**400
+    r = nth_root_floor(n, 3)
+    assert r**3 <= n < (r + 1) ** 3
+    m = HeightModel(1, (0, 0, 1), 0, Fraction(4, 3))  # A = 7/3, q = 3
+    B = 10**120
+    box = fibre_box(m, canonicalize((1, 2)), B)
+    for b, p in zip(box, (7, 7, 10)):  # p_j = (A + a_j) q
+        assert b**3 * 2**p <= B**3 < (b + 1) ** 3 * 2**p
+    T = base_bound(m, 10**150)
+    assert T**10 <= 10**450 < (T + 1) ** 10
 
 
 def test_box_ordering_invariant():

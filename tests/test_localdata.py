@@ -490,7 +490,6 @@ def test_fibre_report_fields():
     assert set(rep.sigma_p) == {2, 5}
     assert rep.sigma_p[5] == Fraction(8, 5)
     assert rep.tamagawa == rep.peyre > 0
-    assert rep.quad_tol == 1e-8
     assert rep.sigma_inf == pytest.approx(math.pi / 125, rel=1e-6)
 
     rep = fibre_report(s, m, (1, 3))
