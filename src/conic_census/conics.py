@@ -27,7 +27,6 @@ from .arith import (
     extgcd,
     factorize,
     is_prime,
-    minors_gcd,
     prime_divisors,
     squarefree_part,
     trial_divide,
@@ -54,15 +53,15 @@ class TernaryForm:
     """Integer symmetric 3x3 Gram matrix with nonzero determinant.
 
     A form stands for one fibre's conic and caches what belongs to it:
-    det (on construction), the gcd of the 2x2 minors, the prime divisors
-    of 2 det, the integer diagonal congruence, the places where the
-    conic is locally insoluble and the reduced diagonal model.  The
+    det (on construction), the prime divisors of 2 det, the integer
+    diagonal congruence, the places where the conic is locally
+    insoluble and the reduced diagonal model.  The
     solubility test reads the diagonal, the point search reduces it, and
     the Euler product of the local densities shares the factorization of
     2 det and the solubility verdict, so each is computed once.
     """
 
-    __slots__ = ("matrix", "_det", "_minors_gcd", "_bad_primes", "_diagonal", "_insoluble", "_reduced")
+    __slots__ = ("matrix", "_det", "_bad_primes", "_diagonal", "_insoluble", "_reduced")
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in matrix)
@@ -76,7 +75,6 @@ class TernaryForm:
         self._det = det3(rows)
         if self._det == 0:
             raise InvalidInputError("degenerate conic: det = 0")
-        self._minors_gcd = None
         self._bad_primes = None
         self._diagonal = None
         self._insoluble = None
@@ -85,13 +83,6 @@ class TernaryForm:
     @property
     def det(self) -> int:
         return self._det
-
-    @property
-    def minors_gcd(self) -> int:
-        """gcd of the nine 2x2 minors (the codim-2 discriminant scale)."""
-        if self._minors_gcd is None:
-            self._minors_gcd = minors_gcd(self.matrix)
-        return self._minors_gcd
 
     @property
     def bad_primes(self) -> tuple[int, ...]:

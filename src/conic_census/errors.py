@@ -8,8 +8,9 @@ class InvalidInputError(ValueError):
 class BudgetExceeded(RuntimeError):
     """A computational budget ran out before an answer was certified (exit code 3).
 
-    A resource limit, not a bug: the p-adic lift tree, the rational point
-    search and the parameter disk-radius certificate each raise it.
+    A resource limit, not a bug: the rational point search, the parameter
+    disk-radius certificate and the p-adic lift tree of count_points_mod
+    each raise it.
     """
 
 

@@ -1,11 +1,14 @@
 """Local densities sigma_p and sigma_inf, Tamagawa numbers, Peyre constants.
 
 The p-adic density of a fibre conic is the limit N(p^n)/p^(2n), where
-N(p^n) counts solutions x mod p^n with x not identically 0 mod p.  The
-archimedean density integrates the line density along the real conic in
-the chart x2 = 1 against the fibre height; a rational parametrization
-turns it into a finite sum of elementary integrals.  The Tamagawa number
-closes the good-prime tail with the exact Euler product 6/pi^2.
+N(p^n) counts solutions x mod p^n with x not identically 0 mod p.  It
+depends only on the Z_p-class of the Gram matrix, and a short recursion
+on the Jordan splitting over Z_p gives it exactly; the lift-and-count
+tree of count_points_mod is its reference oracle.  The archimedean
+density integrates the line density along the real conic in the chart
+x2 = 1 against the fibre height; a rational parametrization turns it
+into a finite sum of elementary integrals.  The Tamagawa number closes
+the good-prime tail with the exact Euler product 6/pi^2.
 
 The public functions keep a rel_tol parameter for the callers that pass
 it; sigma_inf is exact up to rounding, so it is ignored.
@@ -16,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .arith import det3, is_prime, valuation
 from .bundle import FibreClass
 from .conics import TernaryForm, _as_form, _smooth_fibre, is_soluble
-from .errors import BudgetExceeded, EngineError, InvalidInputError
+from .errors import InvalidInputError
 from .heights import HeightModel
 from .projective import height as base_height
 
@@ -36,205 +40,149 @@ __all__ = [
     "tamagawa",
 ]
 
-_LIFT_CAP = 3_000_000
-_NONZERO_MOD2 = [x for x in product((0, 1), repeat=3) if any(x)]
-
-
-def _q_val(m, x) -> int:
-    x0, x1, x2 = x
-    return (
-        m[0][0] * x0 * x0
-        + m[1][1] * x1 * x1
-        + m[2][2] * x2 * x2
-        + 2 * (m[0][1] * x0 * x1 + m[0][2] * x0 * x2 + m[1][2] * x1 * x2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # p-adic side
+#
+# sigma_p depends only on the Z_p-class of M.  Over Z_p, M splits into
+# Jordan blocks p^k [c]: at odd p, c is recorded by its Legendre class
+# +-1; at p = 2, c is an odd unit mod 8, or c = 0, 2 marks the 2x2 block
+# 2^k [[c, 1], [1, c]].  The density of the zeros whose coordinates in
+# the marked blocks S are not all 0 mod p (all blocks at the start)
+# splits by U, the coordinates in blocks with k = 0:
+#
+# * A-step: zeros with x_U != 0 mod p.  At odd p the gradient is then a
+#   unit vector, so each zero mod p weighs p^-2.  At p = 2 it has
+#   valuation exactly 1, so a class x mod 8 with 16 | Q(x) weighs
+#   2^(1 - 2*3) = 1/32 and the other classes hold no zero.
+# * B-step: x_U = p y_U gives Q = p Q', with exponent 1 on U and k - 1
+#   elsewhere, the marks of S - U, and the weight p^(|rest| - 2).
+#
+# Each step shrinks S or lowers the exponents on S, so the recursion ends.
 
 
-def _kernel_basis_mod(m, p):
-    """Basis of the null space of m over F_p (p odd)."""
-    a = [[m[i][j] % p for j in range(3)] for i in range(3)]
-    pivots = []
-    r = 0
-    for c in range(3):
-        pr = next((i for i in range(r, 3) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(3):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(a[i][j] - f * a[r][j]) % p for j in range(3)]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(3) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0, 0, 0]
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-a[ri][fc]) % p
-        basis.append(tuple(v))
-    return basis
+def _jordan(m, p) -> list[tuple[int, int]]:
+    """Jordan blocks (k, c) of the Gram matrix m over Z_p, as above.
 
-
-def _level_one(m, p):
-    """(regular count, critical solutions) mod p.
-
-    A solution is regular when the gradient 2Mx is a unit vector mod p;
-    each regular solution has exactly p^2 lifts at every further level,
-    and its lifts stay regular, so only critical solutions need explicit
-    tracking.  At p = 2 the gradient is always even, so everything is
-    tracked explicitly.
+    Elimination mod p^(v_p(det) + 3) on an entry of least valuation: a
+    diagonal one; else, at odd p, the diagonal that x_i -> x_i + x_j
+    makes of an off-diagonal one, and at p = 2 the 2x2 block around it.
+    Dividing by a pivot p^k u only multiplies entries divisible by p^k
+    with u^-1, so no precision is lost, and every k is at most v_p(det).
     """
-    if p == 2:
-        crit = [x for x in _NONZERO_MOD2 if _q_val(m, x) % 2 == 0]
-        return 0, crit
-    basis = _kernel_basis_mod(m, p)
-    rank = 3 - len(basis)
-    if rank == 3:
-        # smooth conic over F_p: p + 1 projective points, all regular
-        return p * p - 1, []
-    if rank == 2:
-        pair = None
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if (m[i][i] * m[j][j] - m[i][j] ** 2) % p:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise EngineError("rank-2 reduction without a nonsingular principal minor")
-        i, j = pair
-        disc = (m[i][j] ** 2 - m[i][i] * m[j][j]) % p
-        split = pow(disc, (p - 1) // 2, p) == 1
-        n1 = (2 * p - 1) * p - 1 if split else p - 1
-        b = basis[0]
-        crit = [tuple(l * c % p for c in b) for l in range(1, p)]
-        return n1 - (p - 1), crit
-    # rank 1: the zero set equals the kernel plane, every point critical
-    b1, b2 = basis
-    crit = [
-        tuple((i * b1[k] + j * b2[k]) % p for k in range(3))
-        for i in range(p)
-        for j in range(p)
-        if i or j
-    ]
-    return 0, crit
+    n = valuation(det3(m), p) + 3
+    mod = p**n
+    a = [[v % mod for v in row] for row in m]
 
+    def val(x):
+        return valuation(x, p) if x else n
 
-def _grad_valuation(m, x, p, k):
-    """v_p of the gradient 2Mx, or k when it is invisible mod p^k."""
-    comps = (
-        2 * (m[0][0] * x[0] + m[0][1] * x[1] + m[0][2] * x[2]),
-        2 * (m[1][0] * x[0] + m[1][1] * x[1] + m[1][2] * x[2]),
-        2 * (m[2][0] * x[0] + m[2][1] * x[1] + m[2][2] * x[2]),
-    )
-    w = k
-    for c in comps:
-        v = 0
-        while v < w and c % p == 0:
-            v += 1
-            c //= p
-        if c % p and v < w:
-            w = v
-    return w
-
-
-def _settled_total(settled, p, k):
-    """Descendant count at level k of the closed-form (Hensel) pool.
-
-    A class settled at level kk with gradient valuation w keeps all p^3
-    lifts through level kk + w, after which exactly p^2 of each p^3
-    survive forever.
-    """
-    total = 0
-    for kk, w, mult in settled:
-        if k <= kk + w:
-            total += mult * p ** (3 * (k - kk))
-        else:
-            total += mult * p ** (3 * w) * p ** (2 * (k - kk - w))
-    return total
-
-
-def _evolve_counts(m, p, upto):
-    """Exact N(p^k) for k = 1..upto by lift-and-count.
-
-    A solution class x mod p^k is settled once its gradient valuation w
-    is readable (w < k) and p^(k+w) | Q(x): quantitative Hensel then
-    fixes every deeper count in closed form.  Only the unsettled classes
-    are carried as explicit vectors; a lift x + p^k d changes Q at order
-    p^(k+1) only through the gradient, so an unsettled class either
-    lifts p^3-fold (when p^(k+1) | Q) or dies.
-    """
-    reg, crit = _level_one(m, p)
-    settled = [(1, 0, reg)] if reg else []
-    counts = []
-    p3 = p**3
-    for k in range(1, upto + 1):
-        counts.append(_settled_total(settled, p, k) + len(crit))
-        if k == upto:
-            break
-        keep = []
-        pool = {}
-        for x in crit:
-            w = _grad_valuation(m, x, p, k)
-            if w < k and _q_val(m, x) % p ** (k + w) == 0:
-                pool[w] = pool.get(w, 0) + 1
+    left, blocks = [0, 1, 2], []
+    while left:
+        k, i = min((val(a[i][i]), i) for i in left)
+        off = [(val(a[i][j]), i, j) for i in left for j in left if i < j]
+        if off and min(off)[0] < k:
+            k, i, j = min(off)
+            if p == 2:
+                piv = (i, j)
             else:
-                keep.append(x)
-        for w, mult in pool.items():
-            settled.append((k, w, mult))
-        mod_next = p ** (k + 1)
-        surv = [x for x in keep if _q_val(m, x) % mod_next == 0]
-        if len(surv) * p3 > _LIFT_CAP:
-            raise BudgetExceeded("p-adic lift tree exceeded its budget")
-        step = p**k
-        crit = [
-            (x0 + step * d0, x1 + step * d1, x2 + step * d2)
-            for (x0, x1, x2) in surv
-            for d0 in range(p)
-            for d1 in range(p)
-            for d2 in range(p)
-        ]
-    return counts
+                row = [a[i][l] + a[j][l] for l in range(3)]
+                row[i] += a[i][j] + a[j][j]
+                for l in left:
+                    a[i][l] = a[l][i] = row[l] % mod
+                piv = (i,)
+        else:
+            piv = (i,)
+        q = p**k
+        left = [l for l in left if l not in piv]
+        w = {r: [a[r][c] // q for c in piv] for r in left}
+        if len(piv) == 1:
+            u = a[i][i] // q
+            blocks.append((k, u % 8 if p == 2 else 1 - 2 * (pow(u, p // 2, p) != 1)))
+            inv = pow(u, -1, mod)
+            for r in left:
+                for s in left:
+                    a[r][s] = (a[r][s] - w[r][0] * w[s][0] * inv * q) % mod
+        else:
+            # 2^k [[x, b], [b, z]] with x, z even and b odd is equivalent
+            # to 2^k [[0, 1], [1, 0]] exactly when xz/4 is even
+            x, b, z = a[i][i] // q, a[i][j] // q, a[j][j] // q
+            blocks.append((k, x * z // 2 % 4))
+            inv = pow(x * z - b * b, -1, mod)
+            for r in left:
+                for s in left:
+                    (ri, rj), (si, sj) = w[r], w[s]
+                    cross = z * ri * si - b * (ri * sj + rj * si) + x * rj * sj
+                    a[r][s] = (a[r][s] - cross * inv * q) % mod
+    return blocks
+
+
+def _zeros_mod_p(p, units) -> int:
+    """Nonzero zeros over F_p of the diagonal form with unit classes units."""
+    if len(units) == 3:
+        return p * p - 1
+    if len(units) == 2:
+        return (p - 1) * (1 + (-1) ** (p // 2) * units[0] * units[1])
+    return 0
+
+
+@lru_cache(maxsize=None)  # finitely many keys: exponents clipped at 4
+def _settled_mod16(blocks) -> int:
+    """Classes x mod 8 with x_U odd somewhere, x_S odd somewhere and 16 | Q(x)."""
+    hits = 0
+    for x in product(range(8), repeat=3):
+        q, pos, unit, marked = 0, 0, False, False
+        for k, c, s in blocks:
+            if c & 1:
+                y = x[pos : pos + 1]
+                q += c * y[0] * y[0] << k
+            else:
+                y = x[pos : pos + 2]
+                q += c * (y[0] * y[0] + y[1] * y[1]) + 2 * y[0] * y[1] << k
+            pos += len(y)
+            odd = any(v & 1 for v in y)
+            unit |= odd and k == 0
+            marked |= odd and s
+        hits += unit and marked and q % 16 == 0
+    return hits
+
+
+@lru_cache(maxsize=1 << 14)
+def _jordan_density(p, blocks) -> Fraction:
+    """Density of the zeros of the blocks (k, c, marked) whose marked
+    coordinates are not all 0 mod p."""
+    if not any(s for _, _, s in blocks):
+        return Fraction(0)
+    rest = sum(2 if p == 2 and c % 2 == 0 else 1 for k, c, _ in blocks if k)
+    if p == 2:
+        clipped = tuple((min(k, 4), c, s) for k, c, s in blocks)
+        total = Fraction(_settled_mod16(clipped), 32)
+    else:
+        units = [c for k, c, _ in blocks if k == 0]
+        free = [c for k, c, s in blocks if k == 0 and not s]
+        free_rest = sum(1 for k, _, s in blocks if k and not s)
+        hits = _zeros_mod_p(p, units) * p**rest - _zeros_mod_p(p, free) * p**free_rest
+        total = Fraction(hits, p * p)
+    shifted = tuple(sorted((k - 1, c, s) if k else (1, c, False) for k, c, s in blocks))
+    return total + Fraction(p**rest, p * p) * _jordan_density(p, shifted)
+
+
+def _sigma_p_gram(m, p) -> Fraction:
+    """sigma_p of the Gram matrix m, from its Jordan splitting over Z_p."""
+    return _jordan_density(p, tuple(sorted((k, c, True) for k, c in _jordan(m, p))))
 
 
 def count_points_mod(form, p: int, n: int) -> int:
-    """Exact N(p^n): solutions of Q = 0 mod p^n with x not 0 mod p."""
+    """Exact N(p^n): solutions of Q = 0 mod p^n with x not 0 mod p.
+
+    Counted by lift-and-count, the reference oracle for sigma_p.
+    """
+    from ._lifttree import level_count
+
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
     if n < 1:
         raise InvalidInputError("level must be at least 1")
-    m = _as_form(form).matrix
-    if all(v % p == 0 for row in m for v in row):
-        # Q = p Q': a primitive solution mod p^n is any lift of one mod p^(n-1)
-        if n == 1:
-            return p**3 - 1
-        inner = [[v // p for v in row] for row in m]
-        return p**3 * count_points_mod(TernaryForm(inner), p, n - 1)
-    return _evolve_counts(m, p, n)[n - 1]
-
-
-def _sigma_p_gram(m, p) -> Fraction:
-    if all(v % p == 0 for row in m for v in row):
-        inner = [[v // p for v in row] for row in m]
-        return p * _sigma_p_gram(inner, p)
-    v = valuation(abs(det3(m)), p)
-    first = 2 * v + 2
-    for n in range(first, first + 9):
-        counts = _evolve_counts(m, p, n + 2)
-        if counts[n] == p * p * counts[n - 1]:
-            if counts[n + 1] != p * p * counts[n]:
-                raise EngineError("Hensel stabilization audit failed")
-            return Fraction(counts[n - 1], p ** (2 * n))
-    raise EngineError(f"p-adic density failed to stabilize at p={p}")
+    return level_count(_as_form(form).matrix, p, n)
 
 
 def sigma_p(surface, y, p: int) -> Fraction:

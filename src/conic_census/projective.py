@@ -63,12 +63,15 @@ def canonicalize(raw: Iterable) -> ProjPoint:
     out the gcd and flips signs so the first nonzero coordinate is
     positive.  The zero vector is rejected.
     """
-    vals = [Fraction(c) for c in raw]
-    if not vals or all(v == 0 for v in vals):
-        raise InvalidInputError("projective point needs a nonzero coordinate")
-    den = math.lcm(*(v.denominator for v in vals))
-    ints = [int(v * den) for v in vals]
+    ints = list(raw)
+    # integer vectors, the common case, skip the Fraction detour
+    if not all(type(c) is int for c in ints):
+        vals = [Fraction(c) for c in ints]
+        den = math.lcm(*(v.denominator for v in vals))
+        ints = [int(v * den) for v in vals]
     g = math.gcd(*ints)
+    if g == 0:
+        raise InvalidInputError("projective point needs a nonzero coordinate")
     ints = [c // g for c in ints]
     for c in ints:
         if c != 0:

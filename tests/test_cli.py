@@ -9,7 +9,7 @@ from conic_census.cli import _surface_doc, emit_config, main, parse_config
 from conic_census.census import count_total
 from conic_census.errors import InvalidInputError
 from conic_census.heights import HeightModel
-from conic_census.models import mixed_bundle, two_squares_bundle
+from conic_census.models import difference_of_squares_bundle, mixed_bundle, two_squares_bundle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -187,14 +187,14 @@ def test_unknown_subcommand_rejected_by_argparse(tmp_path):
 
 
 def test_exhausted_budget_exits_3(tmp_path):
-    # the lift tree for sigma_43 on this fibre outgrows its budget
+    # no parameter disk radius can be certified on this fibre
     document = {
-        "surface": _surface_doc(mixed_bundle()),
-        "model": {"alpha": "2"},
-        "density": {"y": [14, 9], "p": 43},
+        "surface": _surface_doc(difference_of_squares_bundle(12)),
+        "model": {"alpha": "9"},
+        "fibre": {"y": [1, 2], "bound": 10**5, "strategy": "parametrized"},
     }
     cfgpath = write_config(tmp_path, document)
-    assert main(["density", "--config", cfgpath, "--out", str(tmp_path)]) == 3
+    assert main(["fibre", "--config", cfgpath, "--out", str(tmp_path)]) == 3
     record = json.loads((tmp_path / "error.json").read_text())
     assert record["exit_code"] == 3
     assert record["error"] == "BudgetExceeded"

@@ -30,7 +30,7 @@ from conic_census.conics import (
     _quad_abs_le,
     _reduce_basis,
 )
-from conic_census.arith import det3, factorize
+from conic_census.arith import det3, factorize, minors_gcd
 from conic_census.models import two_squares_bundle
 
 INF = math.inf
@@ -117,7 +117,7 @@ def test_form_validation():
     with pytest.raises(InvalidInputError, match="degenerate"):
         TernaryForm([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert CIRCLE.det == -1
-    assert CIRCLE.minors_gcd == 1
+    assert minors_gcd(CIRCLE.matrix) == 1
     assert CIRCLE.evaluate((3, 4, 5)) == 0
     assert CIRCLE.evaluate((1, 1, 1)) == 1
 
@@ -272,7 +272,7 @@ def test_local_solubility_matches_lift_tree_and_signature():
     # an independent witness per place: at p | 2 det, the lift tree's
     # density is positive exactly when the conic has a Q_p-point; at inf,
     # a real point exists exactly when M is indefinite (Sylvester)
-    from conic_census.localdata import _sigma_p_gram
+    from conic_census._lifttree import lift_tree_density
 
     forms = seeded_special_forms(11, 160, size=9) + [diag(1, 1, -3), diag(1, 1, 1), CIRCLE]
     for form in forms:
@@ -282,7 +282,7 @@ def test_local_solubility_matches_lift_tree_and_signature():
         assert local_solubility(form, INF) == (not definite)
         for p in form.bad_primes:
             if p <= 13:
-                assert local_solubility(form, p) == (_sigma_p_gram(m, p) > 0), (m, p)
+                assert local_solubility(form, p) == (lift_tree_density(m, p) > 0), (m, p)
 
 
 def test_is_soluble_fermat_pattern():

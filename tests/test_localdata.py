@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +151,99 @@ def test_sigma_p_anisotropic_vanishes():
     assert _sigma_p_gram(m, 3) == 0
     assert count_points_mod(TernaryForm(m), 3, 2) == brute_count_mod(m, 3, 2) == 54
     assert count_points_mod(TernaryForm(m), 3, 3) == 0
+
+
+def _oracle_forms(rng, count):
+    """Seeded Gram matrices in five families, each count strong.
+
+    Diagonal and dense forms with entries in [-60, 60]; dense forms with
+    an even diagonal, whose 2-adic splitting has 2x2 blocks;
+    diag(d) M diag(d) with d_i in {1, 2, 3, 4, 9}, for deep 2- and
+    3-adic valuations; and dense forms times p, so every entry is
+    divisible by p (returned with that p, else with None).
+    """
+
+    def dense(size, diagonal=False, even=False):
+        while True:
+            m = [[0] * 3 for _ in range(3)]
+            for i in range(3):
+                for j in range(i, 3):
+                    if i == j or not diagonal:
+                        m[i][j] = m[j][i] = rng.randint(-size, size) * (1 + (even and i == j))
+            if det3(m):
+                return m
+
+    out = []
+    for _ in range(count):
+        out.append((dense(60, diagonal=True), None))
+        out.append((dense(60), None))
+        out.append((dense(30, even=True), None))
+        d = [rng.choice((1, 2, 3, 4, 9)) for _ in range(3)]
+        m = dense(6)
+        out.append(([[d[i] * m[i][j] * d[j] for j in range(3)] for i in range(3)], None))
+        p = rng.choice((2, 3, 5, 7))
+        out.append(([[p * v for v in row] for row in dense(8)], p))
+    return out
+
+
+def test_sigma_p_matches_lift_tree_oracle(monkeypatch):
+    # the Jordan recursion against lift-and-count, wherever the tree fits
+    # a budget lowered so that the deep trees give up fast; the sample
+    # must reach p | det, 2x2 blocks at p = 2 and forms with every entry
+    # divisible by p
+    from conic_census import _lifttree
+    from conic_census.localdata import _jordan, _sigma_p_gram
+
+    monkeypatch.setattr(_lifttree, "_LIFT_CAP", 50_000)
+    rng = random.Random(2024)
+    compared = divides_det = two_by_two = scaled = 0
+    for m, scale in _oracle_forms(rng, 20):
+        for p in (2, 3, 5, 7, 11, 13):
+            try:
+                ref = _lifttree.lift_tree_density(m, p)
+            except BudgetExceeded:
+                continue
+            assert _sigma_p_gram(m, p) == ref, (m, p)
+            compared += 1
+            divides_det += det3(m) % p == 0
+            two_by_two += p == 2 and any(c % 2 == 0 for _, c in _jordan(m, 2))
+            scaled += scale == p
+    assert compared >= 550 and divides_det >= 200 and two_by_two >= 30 and scaled == 20
+
+
+def test_former_budget_faults_pinned():
+    # the lift tree ran out of budget on the first two; 3960/1369 is the
+    # tree's own value, and 3/2 was checked by a direct count mod 2^K
+    # (K = 17..22, after an integer change of variables) beyond the tree
+    s = mixed_bundle()
+    assert sigma_p(s, (14, 9), 43) == Fraction(1848, 1849)
+    assert sigma_p(s, (22, -7), 47) == Fraction(2208, 2209)
+    assert sigma_p(s, (15, -8), 37) == Fraction(3960, 1369)
+    assert sigma_p(s, (9, -29), 2) == Fraction(3, 2)
+    model = HeightModel.for_surface(s, 2)
+    for y in ((14, 9), (22, -7)):
+        assert peyre_constant(s, model, y) > 0
+
+
+def test_sigma_p_within_budget_on_every_mixed_fibre():
+    s = mixed_bundle()
+    fibres = [fc for fc in (fibre_class(s, y) for y in enumerate_base(1, 28)) if fc.smooth]
+    assert len(fibres) == 967
+    for fc in fibres:
+        for p in TernaryForm(fc.gram).bad_primes:
+            assert sigma_p(s, fc.y, p) >= 0
+
+
+def test_import_does_not_load_the_lift_tree():
+    # the oracle stays off the import path: count_points_mod loads it
+    import conic_census
+
+    root = os.path.dirname(os.path.dirname(conic_census.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); import conic_census; "
+        "assert 'conic_census._lifttree' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_sigma_p_good_primes_exact():
@@ -545,6 +641,7 @@ def test_report_shares_the_local_product(make, alpha):
 
 
 def test_lift_tree_budget_is_not_an_engine_error():
+    form = TernaryForm(fibre_class(mixed_bundle(), (14, 9)).gram)
     with pytest.raises(BudgetExceeded) as info:
-        sigma_p(mixed_bundle(), (14, 9), 43)
+        count_points_mod(form, 43, 2)
     assert not isinstance(info.value, EngineError)

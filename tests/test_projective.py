@@ -68,6 +68,37 @@ def test_canonicalize_scale_invariant(vec, scale):
     assert next(c for c in a.coords if c) > 0
 
 
+def fraction_canonicalize(raw):
+    """Oracle: clear denominators, divide out the gcd, fix the sign."""
+    vals = [Fraction(c) for c in raw]
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [int(v * den) for v in vals]
+    g = math.gcd(*ints)
+    first = next(c for c in ints if c)
+    return tuple(c // g * (1 if first > 0 else -1) for c in ints)
+
+
+def test_canonicalize_int_path_matches_fraction_path():
+    import random
+
+    rng = random.Random(41)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        ints = [rng.choice((0, rng.randint(-50, 50), rng.randint(-10**30, 10**30))) for _ in range(n)]
+        if not any(ints):
+            ints[rng.randrange(n)] = rng.choice((-3, 7))
+        fracs = [Fraction(c, rng.randint(1, 12)) for c in ints]
+        mixed = [c if rng.random() < 0.5 else Fraction(c) for c in ints]
+        want = canonicalize([Fraction(c) for c in ints]).coords
+        assert canonicalize(ints).coords == want == fraction_canonicalize(ints)
+        assert canonicalize(tuple(ints)).coords == want
+        assert canonicalize(mixed).coords == want
+        assert canonicalize(fracs).coords == fraction_canonicalize(fracs)
+    for zero in ((0,), (0, 0, 0), (Fraction(0), 0)):
+        with pytest.raises(InvalidInputError):
+            canonicalize(zero)
+
+
 def test_height_of_canonical_rep():
     assert height(canonicalize((Fraction(1, 2), 3))) == 6
     assert ProjPoint((5, -7)).height() == 7
