@@ -16,7 +16,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "prime_divisors",
-    "trial_divide",
     "valuation",
     "minors_gcd",
     "squarefree_part",
@@ -125,47 +124,28 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
 
 
-def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """({p: exponent} over the primes p <= bound dividing n, cofactor).
-
-    n must be nonzero.  The cofactor has no prime factor <= bound, so a
-    cofactor up to bound^2 is prime; it is moved into the dict, leaving 1.
-    """
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorisation of |n| as {p: exponent}; 0 and +-1 give {}."""
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 11
-    while f <= bound and f * f <= n:
+    f = 2
+    while f <= 100000 and f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
-        f += 2
-    if 1 < n <= bound * bound:
-        out[n] = out.get(n, 0) + 1
-        n = 1
-    return out, n
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation of |n| as {p: exponent}; 0 and +-1 give {}."""
-    if abs(n) < 2:
-        return {}
-    out, n = trial_divide(n, 100000)
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+        f += 1 if f == 2 else 2
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m < 2:
+            continue
+        # m has no prime factor below f, so m < f^2 makes it prime
+        if m < f * f or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack.append(d)
+        stack.append(m // d)
     return out
 
 

@@ -9,8 +9,9 @@ boxes by two independent strategies that are cross checked in the tests:
 
 * box: sweep the two smallest box dimensions and solve a quadratic for
   the last coordinate,
-* parametrized: pull the box back through the parametrization, where a
-  certified content bound turns the box into a finite (u, v) region.
+* parametrized: pull the box back through the parametrization, where the
+  exact content bound, |det| / (g^2 c0) times a root-tested power of each
+  prime of 2g, turns the box into a finite (u, v) region.
 
 Counts are exact integers throughout; floats only ever enter as seeds
 that are corrected by integer arithmetic afterwards.
@@ -22,24 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import (
-    det3,
-    extgcd,
-    factorize,
-    is_prime,
-    prime_divisors,
-    squarefree_part,
-    trial_divide,
-)
+import numpy as _np
+
+from .arith import det3, extgcd, factorize, is_prime, prime_divisors, squarefree_part, valuation
 from .bundle import FibreClass, fibre_class
 from .errors import BudgetExceeded, EngineError, InvalidInputError
 from .heights import HeightModel, check_model, fibre_box
 from .projective import canonicalize
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 INF = math.inf
 
@@ -404,45 +394,6 @@ def _reduce_basis(p, e1, e2):
     return _size_reduce(e1, p), _size_reduce(e2, p)
 
 
-def _binary_quadratic_resultant(f, g) -> int:
-    # f = (a, b, c) meaning a u^2 + b uv + c v^2
-    a1, b1, c1 = f
-    a2, b2, c2 = g
-    return (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
-
-
-def _achievable_content_exponent(phi, p: int, cap: int, budget: int = 20000) -> int:
-    """Largest k <= cap with a primitive (u, v) mod p^k killing all phi mod p^k.
-
-    Breadth-first lifting.  If the tree outgrows the budget the cap is
-    returned, which only ever loosens the region, never breaks it.
-    """
-    level = [(u, v) for u in range(p) for v in range(p) if u or v]
-    mod = p
-    sols = [(u, v) for (u, v) in level if all(_phi_eval(c, u, v) % mod == 0 for c in phi)]
-    k = 0
-    while sols and k < cap:
-        k += 1
-        if k == cap:
-            break
-        nxt = []
-        nxt_mod = mod * p
-        for (u, v) in sols:
-            for du in range(p):
-                uu = u + du * mod
-                for dv in range(p):
-                    vv = v + dv * mod
-                    if uu % p == 0 and vv % p == 0:
-                        continue
-                    if all(_phi_eval(c, uu, vv) % nxt_mod == 0 for c in phi):
-                        nxt.append((uu, vv))
-        if len(nxt) > budget:
-            return cap
-        sols = nxt
-        mod = nxt_mod
-    return k
-
-
 def _phi_eval(coeffs, u, v):
     a, b, c = coeffs
     return a * u * u + b * u * v + c * v * v
@@ -454,7 +405,7 @@ class ConicParam:
 
     phi is a triple of integer binary quadratics; (u : v) -> phi(u, v)
     divided by its gcd is a bijection P^1(Q) -> C(Q).  content_bound
-    dominates that gcd for every coprime (u, v), which is what makes the
+    is the lcm of that gcd over coprime (u, v), which is what makes the
     box pullback finite.  tangent is the parameter mapping to the base
     point itself.
     """
@@ -523,61 +474,95 @@ def parametrize(form, point=None) -> ConicParam:
     if img != point and img != tuple(-t for t in point):
         raise EngineError("tangent parameter misses the base point")
 
+    # phi = [P | E1 | E2] (Q, -2L u, -2L v) / c0, so the content at coprime
+    # (u, v) is gcd(Q, 2L) / c0.  At (u, v) = a tangent + b s, L = -+g b, and M
+    # in the basis (P, E tangent, E s) is [[0, 0, -+g], [0, alpha, beta], [-+g, beta, gamma]]
+    x, y = extgcd(*tangent)
+    s = (-y, x)
+
+    def bil(p, r):
+        return qa * p[0] * r[0] + qb * (p[0] * r[1] + p[1] * r[0]) + qc * p[1] * r[1]
+
+    alpha = bil(tangent, tangent)
+    if alpha * g * g != -form.det:
+        raise EngineError("tangent frame does not reproduce the determinant")
+    bound, rem = divmod(_content_bound(alpha, bil(tangent, s), bil(s, s), 2 * g), c0)
+    if rem:
+        raise EngineError("content bound is not a multiple of the coefficient gcd")
+
     return ConicParam(
         form=form,
         point=point,
         basis=(e1, e2),
         phi=phi,
-        content_bound=_content_bound(phi),
+        content_bound=bound,
         tangent=tangent,
     )
 
 
-def _content_bound(phi) -> int:
-    """Certified multiple of gcd(phi(u, v)) over all coprime (u, v).
+def _val(n: int, p: int, cap: int) -> int:
+    """min(v_p(n), cap), with v_p(0) infinite."""
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
 
-    Any common divisor g of the three values divides each pairwise
-    resultant (g | Res * u^3 and g | Res * v^3 via the Bezout cubics),
-    so the gcd of the nonzero resultants works; when a pair of the
-    quadratics shares a root, linear combinations restore a nonzero
-    resultant.  Small primes are then tightened to the largest content
-    actually achieved by lifting solutions of phi = 0 mod p^k.
+
+def _root_digits(A: int, B: int, C: int, p: int, k: int) -> bool:
+    """Does A y^2 + B y + C vanish mod p^k at some integer y?  Digit search:
+    y = d + p z gives A p^2 z^2 + (2 A d + B) p z + f(d), and a class dies
+    once its constant term's valuation is below k and below the others'."""
+    stack = [(A, B, C)]
+    while stack:
+        A, B, C = stack.pop()
+        va, vb, vc = _val(A, p, k), _val(B, p, k), _val(C, p, k)
+        if min(va, vb, vc) == k:
+            return True
+        if vc >= min(va, vb):
+            stack.extend((A * p * p, (2 * A * d + B) * p, (A * d + B) * d + C) for d in range(p))
+    return False
+
+
+def _has_root(A: int, B: int, C: int, p: int, k: int) -> bool:
+    """_root_digits in closed form at odd p: divide out the common power of
+    p, then 4A f = (2Ay + B)^2 - D for a unit A, and a unit B alone gives a
+    simple root that Hensel lifts."""
+    if p == 2:
+        return _root_digits(A, B, C, p, k)
+    m = min(_val(A, p, k), _val(B, p, k), _val(C, p, k))
+    if m == k:
+        return True
+    q, k = p**m, k - m
+    A, B, C = A // q, B // q, C // q
+    if A % p == 0:
+        return B % p != 0
+    D = B * B - 4 * A * C
+    v = _val(D, p, k)
+    return v == k or (v % 2 == 0 and _legendre(D // p**v, p) == 1)
+
+
+def _content_bound(alpha: int, beta: int, gamma: int, two_g: int) -> int:
+    """lcm of gcd(Q(a, b), two_g b) over coprime (a, b), for alpha != 0 and
+    Q = alpha a^2 + 2 beta a b + gamma b^2.
+
+    Off two_g the exponent of p is v_p(alpha): b = 0 attains it, and p^k | b,
+    p^k | Q force p^k | alpha.  At p | two_g, e = v_p(two_g), it is v_p(alpha)
+    + j for the largest j <= e with p^k | Q(a, b), p^r | b at a primitive
+    (a, b), k = v_p(alpha) + j, r = max(0, k - e): a root of Q(1, p^r y) mod
+    p^k, or when r = 0 of Q(p x, 1).
     """
-    candidates = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            r = _binary_quadratic_resultant(phi[i], phi[j])
-            if r:
-                candidates.append(abs(r))
-    if not candidates:
-        combos = []
-        for lam in (1, -1, 2, -2, 3, 5):
-            for i in range(3):
-                for j in range(3):
-                    if i == j:
-                        continue
-                    k = 3 - i - j
-                    mixed = tuple(phi[i][t] + lam * phi[j][t] for t in range(3))
-                    r = _binary_quadratic_resultant(mixed, phi[k])
-                    if r:
-                        combos.append(abs(r))
-            if combos:
+    bound = abs(alpha)
+    for p, e in factorize(two_g).items():
+        v = valuation(alpha, p)
+        for j in range(e, 0, -1):
+            k = v + j
+            q = p ** max(0, k - e)
+            if _has_root(gamma * q * q, 2 * beta * q, alpha, p, k) or (
+                q == 1 and _has_root(alpha * p * p, 2 * beta * p, gamma, p, k)
+            ):
+                bound *= p**j
                 break
-        if not combos:
-            raise EngineError("all resultant combinations vanished")
-        candidates = combos
-    g0 = 0
-    for r in candidates:
-        g0 = math.gcd(g0, r)
-    if g0 == 0:
-        raise EngineError("content bound collapsed to zero")
-
-    small, cofactor = trial_divide(g0, 10000)
-    bound = cofactor
-    for p, e in small.items():
-        if p <= 257:
-            e = _achievable_content_exponent(phi, p, e)
-        bound *= p**e
     return bound
 
 
@@ -785,11 +770,7 @@ def _count_parametrized(form: TernaryForm, box) -> int:
     radius = _param_disk_radius(phi, caps)
     while True:
         coeff = max(abs(c) for triple in phi for c in triple)
-        safe = (
-            _np is not None
-            and coeff * 3 * (radius + 1) ** 2 < _I64
-            and coeff * 3 * (radius + 1) ** 2 * b0 < _I64
-        )
+        safe = coeff * 3 * (radius + 1) ** 2 < _I64 and coeff * 3 * (radius + 1) ** 2 * b0 < _I64
         scan = _param_scan_numpy if safe else _param_scan_python
         count, rmax = scan(phi, caps, box, radius)
         if rmax < radius:
@@ -887,8 +868,6 @@ def _count_box_numpy(m, b0, b1, b2) -> int:
 
 
 def _box_numpy_safe(m, b0, b1, b2) -> bool:
-    if _np is None:
-        return False
     bmax = max(b1, b2)
     Bmax = 2 * (abs(m[0][1]) + abs(m[0][2])) * bmax
     Cmax = (abs(m[1][1]) + 2 * abs(m[1][2]) + abs(m[2][2])) * bmax * bmax

@@ -24,7 +24,7 @@ from itertools import product
 
 from .arith import det3, is_prime, valuation
 from .bundle import FibreClass
-from .conics import TernaryForm, _as_form, _smooth_fibre, is_soluble
+from .conics import TernaryForm, _as_form, _legendre, _smooth_fibre, is_soluble
 from .errors import InvalidInputError
 from .heights import HeightModel
 from .projective import height as base_height
@@ -97,7 +97,7 @@ def _jordan(m, p) -> list[tuple[int, int]]:
         w = {r: [a[r][c] // q for c in piv] for r in left}
         if len(piv) == 1:
             u = a[i][i] // q
-            blocks.append((k, u % 8 if p == 2 else 1 - 2 * (pow(u, p // 2, p) != 1)))
+            blocks.append((k, u % 8 if p == 2 else _legendre(u, p)))
             inv = pow(u, -1, mod)
             for r in left:
                 for s in left:

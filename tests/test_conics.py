@@ -27,8 +27,10 @@ from conic_census.conics import (
     _count_box_numpy,
     _count_box_python,
     _count_parametrized,
+    _has_root,
     _quad_abs_le,
     _reduce_basis,
+    _root_digits,
 )
 from conic_census.arith import det3, factorize, minors_gcd
 from conic_census.models import two_squares_bundle
@@ -419,14 +421,29 @@ def test_parametrize_identity_for_random_forms():
         done += 1
 
 
+# forms whose content bound carries a deep prime power: the Gram matrix
+# [[0, 0, -c], [0, d, 0], [-c, 0, 0]] has g = c at the base point (1 : 0 : 0)
+DEEP_FORMS = [
+    TernaryForm([[0, 0, -c], [0, d, 0], [-c, 0, 0]])
+    for c, d in ((2**3, 1), (2**7, 1), (2**13, 1), (2**20, 1), (3**9, 1), (3**9, 2),
+                 (5**6, 1), (5**6, 2), (7**5, 2), (2**13 * 3, 6))
+]
+
+
+def soluble_seeded_forms(seed, count, size=9):
+    return [f for f in seeded_special_forms(seed, count, size) if is_soluble(f)]
+
+
 def test_parametrize_content_divides_bound():
     rng = random.Random(29)
-    done = 0
-    while done < 25:
+    forms = []
+    while len(forms) < 25:
         c = [rng.choice([x for x in range(-12, 13) if x]) for _ in range(3)]
         form = diag(*c)
-        if not is_soluble(form):
-            continue
+        if is_soluble(form):
+            forms.append(form)
+    forms += soluble_seeded_forms(31, 120) + DEEP_FORMS
+    for form in forms:
         par = parametrize(form)
         for u in range(-12, 13):
             for v in range(-12, 13):
@@ -436,7 +453,138 @@ def test_parametrize_content_divides_bound():
                 g = math.gcd(*w)
                 assert g >= 1
                 assert par.content_bound % g == 0
-        done += 1
+
+
+def test_content_bound_is_exact():
+    # gcd(phi(u, v), CB) depends on (u, v) mod CB only, and every class
+    # with gcd(u0, v0, CB) = 1 holds a coprime pair, so the bound is the
+    # lcm of the content exactly when these gcds reach CB together
+    checked = 0
+    for form in soluble_seeded_forms(37, 200) + soluble_seeded_forms(41, 100, size=30):
+        par = parametrize(form)
+        cb = par.content_bound
+        if cb > 300:
+            continue
+        seen = 1
+        for u in range(cb):
+            for v in range(cb):
+                if math.gcd(u, v, cb) == 1:
+                    seen = math.lcm(seen, math.gcd(*par.raw(u, v), cb))
+        assert seen == cb, form
+        checked += 1
+    assert checked >= 150
+    # deep prime powers: small parameters already reach the bound
+    expect = [16, 256, 16384, 2097152, 39366, 19683, 31250, 15625, 16807, 8192]
+    for form, cb in zip(DEEP_FORMS, expect):
+        par = parametrize(form)
+        seen = 1
+        for u in range(-64, 65):
+            for v in range(0, 65):
+                if math.gcd(u, v) == 1:
+                    seen = math.lcm(seen, math.gcd(*par.raw(u, v)))
+        assert par.content_bound == seen == cb
+
+
+def resultant_sweep_bound(phi):
+    """Reference: the content bound by resultants and a lifting sweep.
+
+    A common divisor of the three values divides every pairwise resultant
+    (via the Bezout cubics, Res u^3 and Res v^3 are combinations of the
+    phi_j); if all three vanish, phi_i + lam phi_j against phi_k for small
+    lam restores one.  Each prime p <= 257 of their gcd is then cut to
+    the largest k with a primitive common zero mod p^k, found by
+    breadth-first lifting of all p^2 residues per level.  Returns (bound,
+    swept): swept is False when a prime was left uncut, being > 257 or
+    outgrowing 20,000 nodes, and then the bound is only a multiple.
+    """
+
+    def ev(c, u, v):
+        return c[0] * u * u + c[1] * u * v + c[2] * v * v
+
+    def res(f, g):
+        (a1, b1, c1), (a2, b2, c2) = f, g
+        return (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
+
+    g0 = math.gcd(*(res(phi[i], phi[j]) for i in range(3) for j in range(i + 1, 3)))
+    for lam in (1, -1, 2, -2, 3, 5):
+        if g0:
+            break
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    mixed = tuple(phi[i][t] + lam * phi[j][t] for t in range(3))
+                    g0 = math.gcd(g0, res(mixed, phi[3 - i - j]))
+    assert g0
+    bound, swept = 1, True
+    for p, cap in factorize(g0).items():
+        if p > 257:
+            bound *= p**cap
+            swept = False
+            continue
+        mod, k = p, 0
+        sols = [
+            (u, v) for u in range(p) for v in range(p) if (u or v) and all(ev(c, u, v) % p == 0 for c in phi)
+        ]
+        while sols and k < cap:
+            k += 1
+            if k == cap:
+                break
+            sols = [
+                (uu, vv)
+                for (u, v) in sols
+                for uu in range(u, u + p * mod, mod)
+                for vv in range(v, v + p * mod, mod)
+                if (uu % p or vv % p) and all(ev(c, uu, vv) % (mod * p) == 0 for c in phi)
+            ]
+            mod *= p
+            if len(sols) > 20000:
+                k, swept = cap, False
+                break
+        bound *= p**k
+    return bound, swept
+
+
+def test_content_bound_matches_resultant_sweep():
+    forms = soluble_seeded_forms(43, 160) + soluble_seeded_forms(47, 120, size=30)
+    forms += [f for f in random_nondiagonal_forms(53, 80, size=30) if is_soluble(f)]
+    swept = 0
+    for form in forms + DEEP_FORMS:
+        par = parametrize(form)
+        ref, ok = resultant_sweep_bound(par.phi)
+        if ok:
+            assert par.content_bound == ref, form
+            swept += 1
+        else:
+            assert ref % par.content_bound == 0, form
+    assert swept >= 200
+    # 2^28 by the sweep, whose lifting tree outgrows its budget
+    assert resultant_sweep_bound(parametrize(DEEP_FORMS[2]).phi) == (2**28, False)
+
+
+def test_root_test_matches_brute_force():
+    rng = random.Random(59)
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7))
+        k = rng.randint(1, {2: 7, 3: 4, 5: 3, 7: 2}[p])
+        A, B, C = (rng.randint(-40, 40) * p ** rng.choice((0, 0, 1, 2)) for _ in range(3))
+        mod = p**k
+        brute = any((A * y * y + B * y + C) % mod == 0 for y in range(mod))
+        assert _has_root(A, B, C, p, k) == brute, (A, B, C, p, k)
+        assert _root_digits(A, B, C, p, k) == brute, (A, B, C, p, k)
+
+
+def test_root_closed_form_matches_digit_search_deep():
+    # odd p at depths beyond brute force, with coefficients that share
+    # powers of p and discriminants of high valuation
+    rng = random.Random(61)
+    for _ in range(600):
+        p = rng.choice((3, 5, 7, 11))
+        k = rng.randint(4, 14)
+        A, B, C = (rng.randint(-50, 50) * p ** rng.randint(0, 6) for _ in range(3))
+        if rng.random() < 0.3:
+            y0 = rng.randint(0, p**k)
+            C = -(A * y0 * y0 + B * y0) + rng.randint(-2, 2) * p ** rng.randint(0, k + 2)
+        assert _has_root(A, B, C, p, k) == _root_digits(A, B, C, p, k), (A, B, C, p, k)
 
 
 def test_parametrize_bijection_against_box_enumeration():
