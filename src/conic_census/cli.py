@@ -615,8 +615,6 @@ def main(argv=None) -> int:
         digest = cfg.digest
         if args.out is None:
             out_dir = cfg.section("output")["dir"]
-        if args.threads < 1:
-            raise InvalidInputError("thread count must be >= 1")
         _, line = run(args.subcommand, cfg, out_dir, args.threads)
         print(line)
         return 0

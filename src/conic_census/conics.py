@@ -11,7 +11,9 @@ boxes by two independent strategies that are cross checked in the tests:
   the last coordinate,
 * parametrized: pull the box back through the parametrization, where the
   exact content bound, |det| / (g^2 c0) times a root-tested power of each
-  prime of 2g, turns the box into a finite (u, v) region.
+  prime of 2g, turns the box into a finite (u, v) region.  An integer
+  test per row finds its exact row and column range, and a region that
+  reaches row or column _ROW_CAP raises BudgetExceeded.
 
 Counts are exact integers throughout; floats only ever enter as seeds
 that are corrected by integer arithmetic afterwards.
@@ -651,132 +653,98 @@ def _intersect_intervals(xs, ys):
 # parametrized counting
 
 
-def _param_disk_radius(phi, caps) -> int:
-    """U with: max_j |phi_j(u,v)| <= caps_j forces u^2 + v^2 <= U^2.
+# a parameter region that reaches this row or column is too large to scan
+_ROW_CAP = 1 << 16
 
-    Certified by a grid minimum of the scaled forms on the unit circle
-    minus a Lipschitz slack; phi is even, so half a turn suffices.
+
+def _surd_sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q sqrt(d), for d >= 0."""
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0) if d else 0
+    if sp * sq >= 0:
+        return sp or sq
+    t = p * p - q * q * d
+    return sp if t > 0 else -sp if t < 0 else 0
+
+
+def _row_meets(phi, caps, u: int) -> bool:
+    """Is there a real v with |phi_j(u, v)| <= caps_j for every j?
+
+    If so, the least such v is an endpoint v = (x + s sqrt(d)) / y of some
+    strip, and there y^2 phi_j(u, v) = P + Q sqrt(d) in integers.
     """
-    weights = [1.0 / c for c in caps]
-    lip = max(
-        w * (abs(a - c) + abs(b)) for w, (a, b, c) in zip(weights, phi)
-    )
-    n = 1024
-    while True:
-        step = math.pi / n
-        best = math.inf
-        for i in range(n):
-            th = (i + 0.5) * step
-            co, si = math.cos(th), math.sin(th)
-            cc, cs, ss = co * co, co * si, si * si
-            f = max(
-                w * abs(a * cc + b * cs + c * ss)
-                for w, (a, b, c) in zip(weights, phi)
-            )
-            if f < best:
-                best = f
-        low = best - lip * step / 2
-        low *= 1 - 1e-9
-        if low > 0:
-            return math.isqrt(int(1 / low)) + 1
-        n *= 4
-        if n > 4_000_000:
-            raise BudgetExceeded("could not certify a parameter disk radius")
-
-
-def _param_rows(phi, caps, radius):
-    """(u, v intervals) for each u in [0, radius] whose row of the disk
-    meets every strip |phi_j(u, v)| <= caps_j."""
-    for u in range(radius + 1):
-        uu = u * u
-        ivs = [(-radius, radius)]
-        for (A, B, C), K in zip(phi, caps):
-            ivs = _intersect_intervals(ivs, _quad_abs_le(C, B * u, A * uu, K, -radius, radius))
-            if not ivs:
+    uu = u * u
+    ends = []
+    for (a, b, c), K in zip(phi, caps):
+        for k in (K, -K):
+            # the roots of c v^2 + b u v + a u^2 = k
+            d = b * b * uu - 4 * c * (a * uu - k)
+            if c and d >= 0:
+                ends += [(-b * u, 1, d, 2 * c), (-b * u, -1, d, 2 * c)]
+            elif not c and b * u:
+                ends.append((k - a * uu, 0, 0, b * u))
+    for x, s, d, y in ends:
+        yy = y * y
+        for (a, b, c), K in zip(phi, caps):
+            P = a * uu * yy + b * u * x * y + c * (x * x + d)
+            Q = s * (b * u * y + 2 * c * x)
+            if _surd_sign(K * yy - P, -Q, d) < 0 or _surd_sign(K * yy + P, Q, d) < 0:
                 break
-        if ivs:
-            yield u, ivs
-
-
-def _param_scan_python(phi, caps, box, radius):
-    b0, b1, b2 = box
-    count = 0
-    rmax = 0
-    (a0, c0, d0), (a1, c1, d1), (a2, c2, d2) = phi
-    for u, ivs in _param_rows(phi, caps, radius):
-        uu = u * u
-        for lo, hi in ivs:
-            for v in range(lo, hi + 1):
-                if u == 0:
-                    if v != 1:
-                        continue
-                elif math.gcd(u, v) != 1:
-                    continue
-                vv = v * v
-                w0 = a0 * uu + c0 * u * v + d0 * vv
-                w1 = a1 * uu + c1 * u * v + d1 * vv
-                w2 = a2 * uu + c2 * u * v + d2 * vv
-                if w2 == 0:
-                    continue
-                g = math.gcd(w0, w1, w2)
-                if abs(w0) <= g * b0 and abs(w1) <= g * b1 and abs(w2) <= g * b2:
-                    count += 1
-                    r = max(u, -v if v < 0 else v)
-                    if r > rmax:
-                        rmax = r
-    return count, rmax
-
-
-def _param_scan_numpy(phi, caps, box, radius):
-    b0, b1, b2 = box
-    count = 0
-    rmax = 0
-    for u, ivs in _param_rows(phi, caps, radius):
-        uu = u * u
-        v = _np.concatenate([_np.arange(lo, hi + 1, dtype=_np.int64) for lo, hi in ivs])
-        if u == 0:
-            v = v[v == 1]
-            if v.size == 0:
-                continue
         else:
-            v = v[_np.gcd(u, _np.abs(v)) == 1]
-            if v.size == 0:
-                continue
-        vv = v * v
-        w0 = phi[0][0] * uu + phi[0][1] * u * v + phi[0][2] * vv
-        w1 = phi[1][0] * uu + phi[1][1] * u * v + phi[1][2] * vv
-        w2 = phi[2][0] * uu + phi[2][1] * u * v + phi[2][2] * vv
-        g = _np.gcd(_np.gcd(_np.abs(w0), _np.abs(w1)), _np.abs(w2))
-        ok = (
-            (w2 != 0)
-            & (_np.abs(w0) <= g * b0)
-            & (_np.abs(w1) <= g * b1)
-            & (_np.abs(w2) <= g * b2)
-        )
-        c = int(_np.count_nonzero(ok))
-        if c:
-            count += c
-            r = max(u, int(_np.abs(v[ok]).max()))
-            if r > rmax:
-                rmax = r
-    return count, rmax
+            return True
+    return False
+
+
+def _row_range(phi, caps) -> int:
+    """The largest u >= 0 whose row meets |phi_j(u, v)| <= caps_j.
+
+    phi is 2-homogeneous, so the region is star-shaped about 0 and the
+    rows that meet it are exactly 0..U: doubling, then bisection.
+    """
+    lo, hi = 0, 1
+    while _row_meets(phi, caps, hi):
+        if hi >= _ROW_CAP:
+            raise BudgetExceeded(f"the parameter region reaches row or column {_ROW_CAP}")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _row_meets(phi, caps, mid) else (lo, mid)
+    return lo
+
+
+def _param_scan_numpy(phi, caps, box, rows, cols, dtype):
+    """Coprime (u, v) with u > 0, or (0, 1), whose point lies in the box,
+    row by row over the exact v intervals of |phi_j(u, v)| <= caps_j."""
+    count = 0
+    for u in range(rows + 1):
+        uu = u * u
+        ivs = [(-cols, cols)]
+        for (A, B, C), K in zip(phi, caps):
+            ivs = _intersect_intervals(ivs, _quad_abs_le(C, B * u, A * uu, K, -cols, cols))
+        if not ivs:
+            continue
+        v = _np.concatenate([_np.arange(lo, hi + 1, dtype=dtype) for lo, hi in ivs])
+        v = v[(_np.gcd(u, _np.abs(v)) == 1) & ((u > 0) | (v > 0))]
+        w = [a * uu + b * u * v + c * v * v for a, b, c in phi]
+        g = _np.gcd(_np.gcd(_np.abs(w[0]), _np.abs(w[1])), _np.abs(w[2]))
+        ok = w[2] != 0
+        for wj, bj in zip(w, box):
+            ok &= _np.abs(wj) <= g * bj
+        count += int(_np.count_nonzero(ok))
+    return count
 
 
 def _count_parametrized(form: TernaryForm, box) -> int:
-    b0, b1, b2 = box
     param = parametrize(form)
     phi = param.phi
     caps = [param.content_bound * b for b in box]
-    radius = _param_disk_radius(phi, caps)
-    while True:
-        coeff = max(abs(c) for triple in phi for c in triple)
-        safe = coeff * 3 * (radius + 1) ** 2 < _I64 and coeff * 3 * (radius + 1) ** 2 * b0 < _I64
-        scan = _param_scan_numpy if safe else _param_scan_python
-        count, rmax = scan(phi, caps, box, radius)
-        if rmax < radius:
-            return count
-        # a counted point sat on the rim: distrust the radius and widen
-        radius = 2 * radius + 2
+    rows = _row_range(phi, caps)
+    cols = _row_range([(c, b, a) for a, b, c in phi], caps)
+    # |phi_j| <= 3 coeff r^2, and the content divides the content bound
+    r = max(rows, cols)
+    coeff = max(abs(c) for triple in phi for c in triple)
+    small = 3 * coeff * r * r < _I64 and max(caps) < _I64
+    return _param_scan_numpy(phi, caps, box, rows, cols, _np.int64 if small else object)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ class InvalidInputError(ValueError):
 class BudgetExceeded(RuntimeError):
     """A computational budget ran out before an answer was certified (exit code 3).
 
-    A resource limit, not a bug: the rational point search, the parameter
-    disk-radius certificate and the p-adic lift tree of count_points_mod
+    A resource limit, not a bug: the rational point search, the row cap of
+    the parametrized scan and the p-adic lift tree of count_points_mod
     each raise it.
     """
 

@@ -41,16 +41,6 @@ class MultiPoly:
     def zero(cls, nvars: int, degree: int) -> "MultiPoly":
         return cls(nvars, degree, {})
 
-    @classmethod
-    def monomial(cls, nvars: int, coeff: int, exps: Sequence[int]) -> "MultiPoly":
-        return cls(nvars, sum(exps), {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, 1, {tuple(exps): 1})
-
     # -- ring operations ----------------------------------------------
 
     def _check_like(self, other: "MultiPoly"):
@@ -145,9 +135,6 @@ class MultiPoly:
         if not self.terms:
             return self.degree
         return min(e[i] for e in self.terms)
-
-    def content(self) -> int:
-        return math.gcd(*self.terms.values()) if self.terms else 0
 
     # -- display ------------------------------------------------------
 

@@ -115,6 +115,15 @@ def test_threads_flag_does_not_change_output(doc, tmp_path):
     assert (a / "count.csv").read_bytes() == (b / "count.csv").read_bytes()
 
 
+def test_zero_threads_exits_2(doc, tmp_path):
+    cfgpath = write_config(tmp_path, doc)
+    assert main(["count", "--config", cfgpath, "--out", str(tmp_path), "--threads", "0"]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["exit_code"] == 2
+    assert record["error"] == "InvalidInputError"
+    assert not (tmp_path / "count.json").exists()
+
+
 def test_bt_probe_flags_lower_violations(doc, tmp_path, capsys):
     cfgpath = write_config(tmp_path, doc)
     assert main(["bt-probe", "--config", cfgpath, "--out", str(tmp_path)]) == 0
@@ -187,7 +196,7 @@ def test_unknown_subcommand_rejected_by_argparse(tmp_path):
 
 
 def test_exhausted_budget_exits_3(tmp_path):
-    # no parameter disk radius can be certified on this fibre
+    # the parameter region of this fibre spans about 1e17 rows, past the row cap
     document = {
         "surface": _surface_doc(difference_of_squares_bundle(12)),
         "model": {"alpha": "9"},

@@ -22,6 +22,7 @@ from conic_census import (
     parametrize,
 )
 from conic_census.conics import (
+    _AUTO_BOX_LIMIT,
     _box_numpy_safe,
     _count_box,
     _count_box_numpy,
@@ -31,9 +32,15 @@ from conic_census.conics import (
     _quad_abs_le,
     _reduce_basis,
     _root_digits,
+    _row_range,
+    _surd_sign,
 )
 from conic_census.arith import det3, factorize, minors_gcd
-from conic_census.models import two_squares_bundle
+from conic_census.bundle import fibre_class
+from conic_census.census import count_total
+from conic_census.heights import fibre_box
+from conic_census.models import difference_of_squares_bundle, mixed_bundle, two_squares_bundle
+from conic_census.projective import enumerate_base
 
 INF = math.inf
 
@@ -645,6 +652,119 @@ def test_quad_abs_le_matches_brute_scan(a, b, c, k, lo, hi):
     for v in range(lo, hi + 1):
         inside = abs(a * v * v + b * v + c) <= k
         assert (v in member) == inside
+
+
+# ---------------------------------------------------------------------------
+# the parameter row range
+
+
+def test_surd_sign_matches_exact_oracle():
+    sympy = pytest.importorskip("sympy")
+    cases = [(p, q, d) for p in range(-6, 7) for q in range(-3, 4) for d in range(13)]
+    # p^2 - q^2 d = +-1 far beyond float precision, and p^2 = q^2 d exactly
+    big = 10**20
+    for p, q, d in ((big + 1, -1, big * big + 2 * big), (big, -1, big * big + 1), (big, 1, big * big),
+                    (-big, 1, big * big), (0, -3, big), (5, 0, big)):
+        cases += [(p, q, d), (-p, -q, d)]
+    for p, q, d in cases:
+        assert _surd_sign(p, q, d) == int(sympy.sign(p + q * sympy.sqrt(d))), (p, q, d)
+
+
+def extent_floor(phi, caps):
+    """floor of sup{u : |phi_j(u, v)| <= caps_j for all j}, apart from the engine.
+
+    With v = u w the sup is 1 / sqrt(F*), where F* is the least value of
+    F(w) = max_j |phi_j(1, w)| / caps_j.  F* is attained at the vertex of
+    some phi_j(1, w) or where two |phi_j(1, w)| / caps_j cross; mpmath
+    evaluates F there to 50 digits.  An extent within 1e-30 of an integer n
+    counts as n when n^2 F(w) <= 1 holds in Fractions at a rational candidate.
+    """
+    mp = pytest.importorskip("mpmath")
+    g = [[Fraction(x, K) for x in t] for t, K in zip(phi, caps)]
+    rational = [-b / (2 * c) for a, b, c in g if c]
+    roots = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for sign in (1, -1):
+                a, b, c = (x + sign * y for x, y in zip(g[i], g[j]))
+                disc = b * b - 4 * a * c
+                if not c:
+                    rational += [-a / b] if b else []
+                elif disc >= 0 and all(math.isqrt(n) ** 2 == n for n in (disc.numerator, disc.denominator)):
+                    r = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+                    rational += [(-b + r) / (2 * c), (-b - r) / (2 * c)]
+                elif disc > 0:
+                    roots.append((b, c, disc))
+
+    def big_f(w):
+        return max(abs(a + b * w + c * w * w) for a, b, c in g)
+
+    with mp.workdps(50):
+        def mpq(x):
+            return mp.mpf(x.numerator) / x.denominator
+
+        ws = [mpq(w) for w in rational]
+        for b, c, disc in roots:
+            ws += [(-mpq(b) + t * mp.sqrt(mpq(disc))) / (2 * mpq(c)) for t in (1, -1)]
+        least = min(max(abs(mpq(a) + mpq(b) * w + mpq(c) * w * w) for a, b, c in g) for w in ws)
+        e = 1 / mp.sqrt(least)
+        n = int(mp.nint(e))
+        if abs(e - n) > mp.mpf(10) ** -30:
+            return int(mp.floor(e))
+    return n if any(big_f(w) * n * n <= 1 for w in rational) else n - 1
+
+
+def parametrized_census_fibres(surface, alpha, bound, max_height, both):
+    """(form, box) on each soluble fibre that count_total counts by the
+    parametrized strategy: all of them under "both", else those past the
+    box limit of "auto"."""
+    model = HeightModel.for_surface(surface, alpha)
+    for y in enumerate_base(1, max_height):
+        box = fibre_box(model, y, bound)
+        if box[2] < 1 or (not both and (2 * box[1] + 1) * box[2] <= _AUTO_BOX_LIMIT):
+            continue
+        fc = fibre_class(surface, y)
+        if fc.smooth and is_soluble(TernaryForm(fc.gram)):
+            yield TernaryForm(fc.gram), box
+
+
+def test_row_range_matches_extent_oracle():
+    cases = list(parametrized_census_fibres(two_squares_bundle(), 1, 10**6, 100, False))
+    mixed = list(parametrized_census_fibres(mixed_bundle(), 2, 2000, 12, True))
+    assert (len(cases), len(mixed)) == (103, 30)
+    rng = random.Random(41)
+    for form in soluble_seeded_forms(43, 60):
+        cases.append((form, tuple(rng.randint(1, 400) for _ in range(3))))
+    for form, box in cases + mixed:
+        par = parametrize(form)
+        caps = [par.content_bound * b for b in box]
+        for phi in (par.phi, [(c, b, a) for a, b, c in par.phi]):
+            assert _row_range(phi, caps) == extent_floor(phi, caps), (form, box)
+
+
+def test_row_range_on_a_long_thin_region():
+    # x0^2 - x1^2 + 2.54e28 x2^2: the region is about 1.0e17 rows long and
+    # 632 columns wide, so the row cap stops the scan before it starts
+    surface = difference_of_squares_bundle(12)
+    fc = fibre_class(surface, (1, 2))
+    box = fibre_box(HeightModel.for_surface(surface, 9), fc.y, 10**5)
+    par = parametrize(TernaryForm(fc.gram))
+    caps = [par.content_bound * b for b in box]
+    swapped = [(c, b, a) for a, b, c in par.phi]
+    assert _row_range(swapped, caps) == extent_floor(swapped, caps) == 632
+    assert 10**17 < extent_floor(par.phi, caps) < 2 * 10**17
+    with pytest.raises(BudgetExceeded):
+        _row_range(par.phi, caps)
+
+
+def test_object_kernel_matches_int64_kernel(monkeypatch):
+    surface = two_squares_bundle()
+    model = HeightModel.for_surface(surface, 1)
+    native = count_total(surface, model, 10**5, "parametrized")
+    monkeypatch.setattr("conic_census.conics._I64", 1)
+    big = count_total(surface, model, 10**5, "parametrized")
+    assert native.total == big.total == 368664
+    assert native.fibres == big.fibres
 
 
 # ---------------------------------------------------------------------------
