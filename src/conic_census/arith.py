@@ -129,7 +129,7 @@ def factorize(n: int) -> dict[int, int]:
     n = abs(n)
     out: dict[int, int] = {}
     f = 2
-    while f <= 100000 and f * f <= n:
+    while f < 1000 and f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f

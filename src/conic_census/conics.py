@@ -7,8 +7,8 @@ rational point inside the Holzer bounds of the reduced diagonal model,
 builds a proper parametrization P^1 -> C, and counts points in height
 boxes by two independent strategies that are cross checked in the tests:
 
-* box: sweep the two smallest box dimensions and solve a quadratic for
-  the last coordinate,
+* box: sweep (x1, x2) over the box and solve the quadratic for x0; a
+  cell counts only where the discriminant form D(x1, x2) is a square,
 * parametrized: pull the box back through the parametrization, where the
   exact content bound, |det| / (g^2 c0) times a root-tested power of each
   prime of 2g, turns the box into a finite (u, v) region.  An integer
@@ -35,8 +35,9 @@ from .projective import canonicalize
 
 INF = math.inf
 
-# int64 safety margin for the vectorised scans
+# int64 safety margin for the vectorised scans, and cells per box tile
 _I64 = 1 << 62
+_TILE = 1 << 14
 
 STRATEGIES = ("auto", "box", "parametrized", "both")
 
@@ -793,64 +794,63 @@ def _count_box_python(m, b0, b1, b2) -> int:
     return sum(_count_rows(m, b0, range(-b1, b1 + 1), x2) for x2 in range(1, b2 + 1))
 
 
-def _count_box_numpy(m, b0, b1, b2) -> int:
-    count = 0
-    A = m[0][0]
-    twoA = 2 * A
-    x1 = _np.arange(-b1, b1 + 1, dtype=_np.int64)
-    ax1 = _np.abs(x1)
-    for x2 in range(1, b2 + 1):
-        B = 2 * (m[0][1] * x1 + m[0][2] * x2)
-        C = m[1][1] * x1 * x1 + (2 * m[1][2] * x2) * x1 + m[2][2] * x2 * x2
-        if A == 0:
-            ok = B != 0
-            if not ok.all() and bool((C[~ok] == 0).any()):
-                raise EngineError("degenerate pencil line inside the conic")
-            Bs = _np.where(ok, B, 1)
-            q = -C // Bs
-            good = ok & (q * Bs == -C) & (_np.abs(q) <= b0)
-            good &= _np.gcd(_np.gcd(_np.abs(q), ax1), x2) == 1
-            count += int(_np.count_nonzero(good))
-            continue
-        d = B * B - 4 * A * C
-        pos = d >= 0
-        if not pos.any():
-            continue
-        dp = _np.where(pos, d, 0)
-        s = _np.sqrt(dp.astype(_np.float64)).astype(_np.int64)
-        for _ in range(2):
-            s = _np.where((s + 1) * (s + 1) <= dp, s + 1, s)
-            s = _np.where(s * s > dp, s - 1, s)
-        sq = pos & (s * s == dp)
-        total = _np.zeros(x1.shape, dtype=_np.int64)
-        for signbit in (1, -1):
-            num = -B + signbit * s
-            q = num // twoA
-            good = sq & (q * twoA == num) & (_np.abs(q) <= b0)
-            good &= _np.gcd(_np.gcd(_np.abs(q), ax1), x2) == 1
-            total += good
-        # s == 0 would count the double root twice
-        total -= (sq & (s == 0) & (total == 2)).astype(_np.int64)
-        count += int(total.sum())
+def _cell_form(m):
+    """(p, q, s) of the kernel's cell form p x1^2 + 2 q x1 x2 + s x2^2: D, or C if m00 = 0."""
+    (a, m01, m02), (_, m11, m12), (_, _, m22) = m
+    return (m01 * m01 - a * m11, m01 * m02 - a * m12, m02 * m02 - a * m22) if a else (m11, m12, m22)
+
+
+def _count_box_tiled(m, b0, b1, b2) -> int:
+    """Box count in int64 over tiles of at most _TILE cells (x1, x2).
+
+    On the conic m00 x0 = -L +- r, L = m01 x1 + m02 x2, r^2 = D.  A cell is
+    a hit when r = rint(sqrt(float(D))) has r * r == D, exact for 0 <= D <
+    2^62: both roundings leave the float root within 2^31 * 2^-52 < 2^-20 of
+    k when D = k^2, and no r has r * r == D for a non-square or negative D.
+    Only hits are divided and gcd-tested.  For m00 = 0, x0 = -C / (2 L).
+    """
+    a, m01, m02 = m[0]
+    p, q, s = _cell_form(m)
+    width = min(2 * b1 + 1, _TILE)
+    rows, count = _TILE // width, 0
+    for left in range(-b1, b1 + 1, width):
+        x1 = _np.arange(left, min(left + width, b1 + 1), dtype=_np.int64)
+        px1, qx1 = p * x1 * x1, 2 * q * x1
+        for top in range(1, b2 + 1, rows):
+            x2 = _np.arange(top, min(top + rows, b2 + 1), dtype=_np.int64)[:, None]
+            F = (x2 * qx1 + px1 + s * x2 * x2).ravel()
+            if a:
+                r = _np.rint(_np.sqrt(_np.abs(F).astype(_np.float64))).astype(_np.int64)
+                k = _np.flatnonzero(r * r == F)
+                i, j = _np.divmod(k, len(x1))
+                r, L = r[k], m01 * x1[j] + m02 * x2[i, 0]
+                roots = [_np.divmod(r - L, a), _np.divmod(-r - L, a)]
+                roots[1][1][r == 0] = 1  # a double root counts once
+            else:
+                L2 = (2 * m01 * x1 + 2 * m02 * x2).ravel()
+                if (F[L2 == 0] == 0).any():
+                    raise EngineError("degenerate pencil line inside the conic")
+                k = _np.flatnonzero((L2 != 0) & (F % _np.where(L2, L2, 1) == 0))
+                i, j = _np.divmod(k, len(x1))
+                roots = [_np.divmod(-F[k], L2[k])]
+            g = _np.gcd(x1[j], x2[i, 0])
+            for x0, rem in roots:
+                count += int(_np.count_nonzero((rem == 0) & (abs(x0) <= b0) & (_np.gcd(x0, g) == 1)))
     return count
 
 
 def _box_numpy_safe(m, b0, b1, b2) -> bool:
-    bmax = max(b1, b2)
-    Bmax = 2 * (abs(m[0][1]) + abs(m[0][2])) * bmax
-    Cmax = (abs(m[1][1]) + 2 * abs(m[1][2]) + abs(m[2][2])) * bmax * bmax
-    dmax = Bmax * Bmax + 4 * abs(m[0][0]) * Cmax
-    return dmax < _I64 and (Bmax + math.isqrt(dmax) + 1) < _I64
+    """Every coefficient and partial of _count_box_tiled fits in int64, and D < 2^62."""
+    a, m01, m02 = m[0]
+    p, q, r = _cell_form(m)
+    top = abs(p) * b1 * b1 + 2 * abs(q) * b1 * b2 + abs(r) * b2 * b2
+    lin = 2 * (abs(m01) * b1 + abs(m02) * b2) + math.isqrt(top) + 1
+    return max(top, lin, abs(a), abs(p), 2 * abs(q), abs(r), 2 * abs(m01), 2 * abs(m02)) < _I64
 
 
 def _count_box(form: TernaryForm, box) -> int:
-    b0, b1, b2 = box
-    if b2 < 1:
-        return 0
-    m = form.matrix
-    if _box_numpy_safe(m, b0, b1, b2):
-        return _count_box_numpy(m, b0, b1, b2)
-    return _count_box_python(m, b0, b1, b2)
+    kernel = _count_box_tiled if _box_numpy_safe(form.matrix, *box) else _count_box_python
+    return kernel(form.matrix, *box)
 
 
 # ---------------------------------------------------------------------------

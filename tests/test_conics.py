@@ -25,8 +25,8 @@ from conic_census.conics import (
     _AUTO_BOX_LIMIT,
     _box_numpy_safe,
     _count_box,
-    _count_box_numpy,
     _count_box_python,
+    _count_box_tiled,
     _count_parametrized,
     _has_root,
     _quad_abs_le,
@@ -166,6 +166,19 @@ def test_reduction_is_congruence_up_to_scale():
         assert all(v == int(v) for row in back for v in row)
         assert all(max(factorize(c).values(), default=1) == 1 for c in m)
         tested += 1
+
+
+def test_factorize_matches_sympy_past_the_trial_bound():
+    # trial division stops below 1,000; larger primes, their powers and
+    # products go through Miller-Rabin and Pollard rho
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    primes = list(sympy.primerange(990, 3000))
+    cases = [0, 1, -1, 997 * 997, 1009**3, -(2**61 - 1), 1000003 * 1000033, 2**64 - 59]
+    cases += [p * p for p in primes[:60]]
+    cases += [rng.choice(primes) ** rng.randint(1, 3) * rng.randint(1, 10**9) for _ in range(200)]
+    for n in cases:
+        assert factorize(n) == {int(p): e for p, e in sympy.factorint(abs(n)).items() if p > 1}
 
 
 def test_parabola_reduces_to_unit_coefficients():
@@ -803,14 +816,96 @@ def test_count_box_points_matches_brute_on_nondiagonal_forms():
 
 
 def test_numpy_box_kernel_matches_python_reference():
-    # _count_box and count_fibre pick the numpy kernel whenever it
+    # _count_box and count_fibre pick the tiled kernel whenever it
     # is int64-safe, so the big-int reference is checked here directly
     rng = random.Random(47)
     for form in random_nondiagonal_forms(47, 30):
         b0, b1, b2 = (rng.randint(5, 60) for _ in range(3))
         m = form.matrix
         assert _box_numpy_safe(m, b0, b1, b2)
-        assert _count_box_numpy(m, b0, b1, b2) == _count_box_python(m, b0, b1, b2)
+        assert _count_box_tiled(m, b0, b1, b2) == _count_box_python(m, b0, b1, b2)
+
+
+def test_box_kernel_across_tile_boundaries(monkeypatch):
+    # 61-cell rows fill 268 to a tile, so 821 rows make three full tiles
+    # and a partial one; 16,401-cell rows are wider than one tile
+    forms = random_nondiagonal_forms(53, 4) + [CIRCLE, diag(2, 3, -5)]
+    for form in forms:
+        for box in ((40, 30, 3 * 268 + 17), (9000, 8200, 2)):
+            assert _box_numpy_safe(form.matrix, *box)
+            assert _count_box_tiled(form.matrix, *box) == _count_box_python(form.matrix, *box)
+    # tiles of a few cells put a boundary inside and between rows
+    rng = random.Random(59)
+    for form in random_nondiagonal_forms(59, 12):
+        box = tuple(rng.randint(3, 25) for _ in range(3))
+        want = _count_box_python(form.matrix, *box)
+        for tile in (1, 7, 2 * box[1] + 1, 3 * box[1]):
+            monkeypatch.setattr("conic_census.conics._TILE", tile)
+            assert _count_box_tiled(form.matrix, *box) == want
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0, 0, -1], [0, 2, 0], [-1, 0, 0]],  # the parabola x1^2 = x0 x2
+        [[0, 1, 0], [1, 0, 0], [0, 0, -1]],  # 2 x0 x1 = x2^2
+        [[0, 2, 1], [2, -3, 0], [1, 0, 4]],
+        [[0, 0, 3], [0, 1, -1], [3, -1, -2]],
+    ],
+)
+def test_box_kernel_on_forms_linear_in_x0(matrix):
+    form = TernaryForm(matrix)
+    for box in ((12, 9, 11), (3, 14, 6), (20, 4, 20)):
+        assert _count_box_tiled(matrix, *box) == brute_box_count(form, box)
+
+
+def test_box_kernel_counts_a_double_root_once():
+    # D = x1^2 - x2^2 vanishes on x1 = +-x2, where x0 = -x1 is a double root
+    tangent = TernaryForm([[1, 1, 0], [1, 0, 0], [0, 0, 1]])
+    for form in (tangent, diag(1, -1, 1), diag(3, -3, 1)):
+        for box in ((6, 6, 6), (1, 9, 4), (0, 5, 5)):
+            assert _count_box_tiled(form.matrix, *box) == brute_box_count(form, box)
+
+
+def test_box_kernel_square_test_near_two_to_the_31():
+    # D = c + x1^2 at the cells (x1, 1) of x0^2 - x1^2 = c x2^2, so c in
+    # k^2 + (-1, 0, 1) puts k^2 and its non-square neighbours in every row;
+    # the roots x0 = +-k fit only when b0 >= k, and m01 = 1 shifts them
+    for k in range(2**31 - 4, 2**31):
+        for c in (k * k - 1, k * k, k * k + 1):
+            for m01 in (0, 1):
+                m = ((1, m01, 0), (m01, -1, 0), (0, 0, -c))
+                for b0 in (k - 2, k + 1):
+                    assert _box_numpy_safe(m, b0, 2, 1)
+                    want = _count_box_python(m, b0, 2, 1)
+                    assert _count_box_tiled(m, b0, 2, 1) == want
+                    if m01 == 0:
+                        assert want == ({k * k - 1: 4, k * k: 2}.get(c, 0) if b0 >= k else 0)
+
+
+def test_box_past_the_int64_guard_takes_the_python_path(monkeypatch):
+    # on x0^2 - x1^2 = c x2^2, D = x1^2 + c x2^2, and the guard bounds it
+    # by b1^2 + c b2^2: with c = 2^62 - 1 that reaches 2^62 at b1 = 1
+    m = ((1, 0, 0), (0, -1, 0), (0, 0, 1 - 2**62))
+    square = ((1, 0, 0), (0, -1, 0), (0, 0, -(2**62)))
+    assert _box_numpy_safe(m, 2**31, 0, 1)
+    # float(D) rounds to 2^62 here, but D itself is no square
+    assert _count_box_tiled(m, 2**31, 0, 1) == 0
+    assert not _box_numpy_safe(m, 2**31, 1, 1)
+    assert not _box_numpy_safe(square, 2**31, 0, 1)
+
+    def refuse(*args):
+        raise AssertionError("the int64 kernel ran past its guard")
+
+    monkeypatch.setattr("conic_census.conics._count_box_tiled", refuse)
+    # D = 2^62 at x1 = +-1 gives x0 = +-2^31
+    assert _count_box(TernaryForm(m), (2**31, 1, 1)) == 4
+    assert _count_box(TernaryForm(m), (2**31 - 1, 1, 1)) == 0
+    assert _count_box(TernaryForm(square), (2**31, 0, 1)) == 2
+    # a coefficient past int64 is guarded even where b1 = 0 keeps D small
+    wide = TernaryForm([[1, 2**63, 0], [2**63, 1, 0], [0, 0, -1]])
+    assert not _box_numpy_safe(wide.matrix, 5, 0, 2)
+    assert _count_box(wide, (5, 0, 2)) == 2
 
 
 def test_point_search_cap_is_a_budget_error():
