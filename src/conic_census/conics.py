@@ -11,9 +11,10 @@ boxes by two independent strategies that are cross checked in the tests:
   cell counts only where the discriminant form D(x1, x2) is a square,
 * parametrized: pull the box back through the parametrization, where the
   exact content bound, |det| / (g^2 c0) times a root-tested power of each
-  prime of 2g, turns the box into a finite (u, v) region.  An integer
-  test per row finds its exact row and column range, and a region that
-  reaches row or column _ROW_CAP raises BudgetExceeded.
+  prime of 2g, turns the box into a finite (u, v) region.  Its exact
+  rectangle of rows and columns is scanned in the tiles of the box
+  kernel, region test first; a region that reaches row or column
+  _ROW_CAP raises BudgetExceeded.
 
 Counts are exact integers throughout; floats only ever enter as seeds
 that are corrected by integer arithmetic afterwards.
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as _np
 
-from .arith import det3, extgcd, factorize, is_prime, prime_divisors, squarefree_part, valuation
+from .arith import det3, extgcd, factorize, is_prime, prime_divisors, sign, squarefree_part, valuation
 from .bundle import FibreClass, fibre_class
 from .errors import BudgetExceeded, EngineError, InvalidInputError
 from .heights import HeightModel, check_model, fibre_box
@@ -35,7 +36,7 @@ from .projective import canonicalize
 
 INF = math.inf
 
-# int64 safety margin for the vectorised scans, and cells per box tile
+# int64 safety margin for the vectorised scans, and cells per tile
 _I64 = 1 << 62
 _TILE = 1 << 14
 
@@ -570,87 +571,6 @@ def _content_bound(alpha: int, beta: int, gamma: int, two_g: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact integer intervals for |A v^2 + B v + C| <= K
-
-
-def _floor_plus(x: int, d: int, y: int) -> int:
-    """floor((x + sqrt(d)) / y) for d >= 0, y > 0."""
-    s = math.isqrt(d)
-    q = (x + s) // y
-    while True:
-        t = (q + 1) * y - x
-        if t <= 0 or t * t <= d:
-            q += 1
-        else:
-            return q
-
-
-def _floor_minus(x: int, d: int, y: int) -> int:
-    """floor((x - sqrt(d)) / y) for d >= 0, y > 0."""
-    s = math.isqrt(d)
-    q = (x - s) // y
-    while True:
-        t = x - q * y
-        if t >= 0 and t * t >= d:
-            return q
-        q -= 1
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _quad_abs_le(A: int, B: int, C: int, K: int, lo: int, hi: int):
-    """Integer v in [lo, hi] with |A v^2 + B v + C| <= K, as intervals."""
-    if A == 0:
-        if B == 0:
-            return [(lo, hi)] if abs(C) <= K else []
-        if B > 0:
-            a, b = _ceil_div(-K - C, B), (K - C) // B
-        else:
-            a, b = _ceil_div(K - C, B), (-K - C) // B
-        a, b = max(a, lo), min(b, hi)
-        return [(a, b)] if a <= b else []
-    if A < 0:
-        A, B, C = -A, -B, -C
-    # inside: A v^2 + B v + (C - K) <= 0
-    d1 = B * B - 4 * A * (C - K)
-    if d1 < 0:
-        return []
-    band_lo = max(-_floor_plus(B, d1, 2 * A), lo)
-    band_hi = min(_floor_plus(-B, d1, 2 * A), hi)
-    if band_lo > band_hi:
-        return []
-    # outside: A v^2 + B v + (C + K) >= 0
-    d2 = B * B - 4 * A * (C + K)
-    if d2 <= 0:
-        return [(band_lo, band_hi)]
-    left_hi = min(_floor_minus(-B, d2, 2 * A), band_hi)
-    right_lo = max(-_floor_minus(B, d2, 2 * A), band_lo)
-    out = []
-    if band_lo <= left_hi:
-        out.append((band_lo, left_hi))
-    if max(right_lo, left_hi + 1) <= band_hi:
-        out.append((max(right_lo, left_hi + 1), band_hi))
-    return out
-
-
-def _intersect_intervals(xs, ys):
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        lo = max(xs[i][0], ys[j][0])
-        hi = min(xs[i][1], ys[j][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if xs[i][1] < ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 # parametrized counting
 
 
@@ -660,8 +580,7 @@ _ROW_CAP = 1 << 16
 
 def _surd_sign(p: int, q: int, d: int) -> int:
     """Sign of p + q sqrt(d), for d >= 0."""
-    sp = (p > 0) - (p < 0)
-    sq = (q > 0) - (q < 0) if d else 0
+    sp, sq = sign(p), sign(q) if d else 0
     if sp * sq >= 0:
         return sp or sq
     t = p * p - q * q * d
@@ -713,25 +632,35 @@ def _row_range(phi, caps) -> int:
     return lo
 
 
-def _param_scan_numpy(phi, caps, box, rows, cols, dtype):
+def _tiles(lo1, hi1, lo2, hi2, dtype):
+    """Tiles of at most _TILE cells over [lo1, hi1] x [lo2, hi2], for both
+    counting kernels: each column block x1, a row vector, with an iterator
+    over its row blocks x2, column vectors, so x1 partials are made once."""
+    width = min(hi1 - lo1 + 1, _TILE)
+    for left in range(lo1, hi1 + 1, width):
+        x1 = _np.arange(left, min(left + width, hi1 + 1), dtype=dtype)
+        rows = range(lo2, hi2 + 1, _TILE // width)
+        yield x1, (_np.arange(top, min(top + rows.step, hi2 + 1), dtype=dtype)[:, None] for top in rows)
+
+
+def _param_scan(phi, caps, box, rows, cols, dtype) -> int:
     """Coprime (u, v) with u > 0, or (0, 1), whose point lies in the box,
-    row by row over the exact v intervals of |phi_j(u, v)| <= caps_j."""
+    over tiles of the rectangle 0..rows x -cols..cols: the region test
+    |phi_j(u, v)| <= caps_j first, then the other tests on its survivors."""
     count = 0
-    for u in range(rows + 1):
-        uu = u * u
-        ivs = [(-cols, cols)]
-        for (A, B, C), K in zip(phi, caps):
-            ivs = _intersect_intervals(ivs, _quad_abs_le(C, B * u, A * uu, K, -cols, cols))
-        if not ivs:
-            continue
-        v = _np.concatenate([_np.arange(lo, hi + 1, dtype=dtype) for lo, hi in ivs])
-        v = v[(_np.gcd(u, _np.abs(v)) == 1) & ((u > 0) | (v > 0))]
-        w = [a * uu + b * u * v + c * v * v for a, b, c in phi]
-        g = _np.gcd(_np.gcd(_np.abs(w[0]), _np.abs(w[1])), _np.abs(w[2]))
-        ok = w[2] != 0
-        for wj, bj in zip(w, box):
-            ok &= _np.abs(wj) <= g * bj
-        count += int(_np.count_nonzero(ok))
+    for v, us in _tiles(-cols, cols, 0, rows, dtype):
+        parts = [(b * v, c * v * v) for _, b, c in phi]
+        for u in us:
+            w = [a * u * u + bv * u + cvv for (a, _, _), (bv, cvv) in zip(phi, parts)]
+            i, j = _np.nonzero((abs(w[0]) <= caps[0]) & (abs(w[1]) <= caps[1]) & (abs(w[2]) <= caps[2]))
+            uc, vc = u[i, 0], v[j]
+            k = (_np.gcd(uc, abs(vc)) == 1) & ((uc > 0) | (vc > 0))
+            w = [wj[i[k], j[k]] for wj in w]
+            g = _np.gcd(_np.gcd(abs(w[0]), abs(w[1])), abs(w[2]))
+            ok = w[2] != 0
+            for wj, bj in zip(w, box):
+                ok &= abs(wj) <= g * bj
+            count += int(_np.count_nonzero(ok))
     return count
 
 
@@ -741,11 +670,12 @@ def _count_parametrized(form: TernaryForm, box) -> int:
     caps = [param.content_bound * b for b in box]
     rows = _row_range(phi, caps)
     cols = _row_range([(c, b, a) for a, b, c in phi], caps)
-    # |phi_j| <= 3 coeff r^2, and the content divides the content bound
+    # |phi_j| <= 3 coeff r^2 on every cell of the rectangle, inside the
+    # region or not, and the content at a coprime cell divides the bound
     r = max(rows, cols)
     coeff = max(abs(c) for triple in phi for c in triple)
     small = 3 * coeff * r * r < _I64 and max(caps) < _I64
-    return _param_scan_numpy(phi, caps, box, rows, cols, _np.int64 if small else object)
+    return _param_scan(phi, caps, box, rows, cols, _np.int64 if small else object)
 
 
 # ---------------------------------------------------------------------------
@@ -811,13 +741,10 @@ def _count_box_tiled(m, b0, b1, b2) -> int:
     """
     a, m01, m02 = m[0]
     p, q, s = _cell_form(m)
-    width = min(2 * b1 + 1, _TILE)
-    rows, count = _TILE // width, 0
-    for left in range(-b1, b1 + 1, width):
-        x1 = _np.arange(left, min(left + width, b1 + 1), dtype=_np.int64)
+    count = 0
+    for x1, x2s in _tiles(-b1, b1, 1, b2, _np.int64):
         px1, qx1 = p * x1 * x1, 2 * q * x1
-        for top in range(1, b2 + 1, rows):
-            x2 = _np.arange(top, min(top + rows, b2 + 1), dtype=_np.int64)[:, None]
+        for x2 in x2s:
             F = (x2 * qx1 + px1 + s * x2 * x2).ravel()
             if a:
                 r = _np.rint(_np.sqrt(_np.abs(F).astype(_np.float64))).astype(_np.int64)

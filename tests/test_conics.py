@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from conic_census import (
     BudgetExceeded,
@@ -29,11 +28,11 @@ from conic_census.conics import (
     _count_box_tiled,
     _count_parametrized,
     _has_root,
-    _quad_abs_le,
     _reduce_basis,
     _root_digits,
     _row_range,
     _surd_sign,
+    _TILE,
 )
 from conic_census.arith import det3, factorize, minors_gcd
 from conic_census.bundle import fibre_class
@@ -643,31 +642,6 @@ def test_parametrize_insoluble_and_bad_point():
 
 
 # ---------------------------------------------------------------------------
-# interval engine behind the parametrized strategy
-
-
-@given(
-    st.integers(-9, 9),
-    st.integers(-30, 30),
-    st.integers(-60, 60),
-    st.integers(0, 120),
-    st.integers(-40, 40),
-    st.integers(-40, 40),
-)
-def test_quad_abs_le_matches_brute_scan(a, b, c, k, lo, hi):
-    if lo > hi:
-        lo, hi = hi, lo
-    ivals = _quad_abs_le(a, b, c, k, lo, hi)
-    member = set()
-    for lo_i, hi_i in ivals:
-        assert lo <= lo_i <= hi_i <= hi
-        member.update(range(lo_i, hi_i + 1))
-    for v in range(lo, hi + 1):
-        inside = abs(a * v * v + b * v + c) <= k
-        assert (v in member) == inside
-
-
-# ---------------------------------------------------------------------------
 # the parameter row range
 
 
@@ -834,14 +808,26 @@ def test_box_kernel_across_tile_boundaries(monkeypatch):
         for box in ((40, 30, 3 * 268 + 17), (9000, 8200, 2)):
             assert _box_numpy_safe(form.matrix, *box)
             assert _count_box_tiled(form.matrix, *box) == _count_box_python(form.matrix, *box)
+    # the parametrized scan shares the tiles: 2 x0 x1 = x2^2 at b0 = 10^8
+    # pulls back to a region 7 rows long and 28,285 columns wide
+    hyp = TernaryForm([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    par = parametrize(hyp)
+    caps = [par.content_bound * b for b in (10**8, 40, 40)]
+    assert 2 * _row_range([(c, b, a) for a, b, c in par.phi], caps) + 1 > _TILE
+    assert _count_parametrized(hyp, (10**8, 40, 40)) == _count_box_python(hyp.matrix, 10**8, 40, 40) == 96
     # tiles of a few cells put a boundary inside and between rows
     rng = random.Random(59)
+    scanned = 0
     for form in random_nondiagonal_forms(59, 12):
         box = tuple(rng.randint(3, 25) for _ in range(3))
         want = _count_box_python(form.matrix, *box)
         for tile in (1, 7, 2 * box[1] + 1, 3 * box[1]):
             monkeypatch.setattr("conic_census.conics._TILE", tile)
             assert _count_box_tiled(form.matrix, *box) == want
+            if is_soluble(form):
+                assert _count_parametrized(form, box) == want, (form, box, tile)
+                scanned += 1
+    assert scanned == 40
 
 
 @pytest.mark.parametrize(
@@ -918,7 +904,7 @@ def test_point_search_cap_is_a_budget_error():
     assert not isinstance(info.value, (EngineError, InvalidInputError))
 
 
-def test_strategies_agree_on_soluble_diagonal_forms():
+def test_strategies_agree_on_soluble_forms():
     rng = random.Random(37)
     done = 0
     while done < 25:
@@ -929,6 +915,12 @@ def test_strategies_agree_on_soluble_diagonal_forms():
         bounds = tuple(rng.randint(20, 150) for _ in range(3))
         assert _count_box(form, bounds) == _count_parametrized(form, bounds)
         done += 1
+    # nondiagonal forms of four kinds, two of them with m00 = 0
+    seeded = soluble_seeded_forms(61, 40)
+    assert sum(f.matrix[0][0] == 0 for f in seeded) == 22
+    for form in seeded:
+        bounds = tuple(rng.randint(20, 150) for _ in range(3))
+        assert _count_box(form, bounds) == _count_parametrized(form, bounds), (form, bounds)
 
 
 def test_strategies_agree_on_parabola():
